@@ -159,7 +159,7 @@ def select_index_terms(
     """
     if target_size < 1:
         raise ValueError("target_size must be >= 1")
-    tf_rank = document.term_rank()
+    term_freqs = document.term_freqs
     chosen: List[str] = []
     chosen_set: Set[str] = set()
 
@@ -174,9 +174,12 @@ def select_index_terms(
         chosen_set.add(ranked.term)
 
     if len(chosen) < target_size:
+        # Document term-frequency rank order, (-tf, term), without
+        # ranking the whole document; terms the document lacks (tf 0)
+        # go last.
         retained = sorted(
             (t for t in current_terms if t not in chosen_set),
-            key=lambda t: (tf_rank.get(t, len(tf_rank)), t),
+            key=lambda t: (-term_freqs.get(t, 0), t),
         )
         for term in retained:
             if len(chosen) >= target_size:
@@ -188,7 +191,7 @@ def select_index_terms(
         # Still under budget (very sparse evidence): pad with the
         # document's next most frequent unchosen terms, the same signal
         # used for initial selection.
-        for term in document.top_terms(len(tf_rank)):
+        for term in document.top_terms(len(term_freqs)):
             if len(chosen) >= target_size:
                 break
             if term not in chosen_set:

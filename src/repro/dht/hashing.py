@@ -9,7 +9,7 @@ mapping from strings (terms, queries, peer names) to ring positions.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, List, Tuple
 
@@ -72,10 +72,15 @@ class IdSpace:
     """An m-bit circular identifier space with Chord interval arithmetic."""
 
     bits: int
+    #: ``2**bits - 1``.  ``(b - a) & mask`` is the clockwise distance
+    #: ``(b - a) mod 2**bits`` without a modulo, which is how the hot
+    #: routing paths measure every interval.
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.bits <= 128:
             raise ValueError("bits must be in [1, 128]")
+        object.__setattr__(self, "mask", (1 << self.bits) - 1)
 
     @property
     def size(self) -> int:
@@ -92,7 +97,7 @@ class IdSpace:
 
     def distance(self, a: int, b: int) -> int:
         """Clockwise distance from *a* to *b* (0 when equal)."""
-        return (b - a) % self.size
+        return (b - a) & self.mask
 
     def in_interval(self, x: int, a: int, b: int, inclusive_right: bool = True) -> bool:
         """Whether *x* lies in the clockwise interval (a, b] (or (a, b)).
@@ -103,8 +108,9 @@ class IdSpace:
         """
         if a == b:
             return True if inclusive_right else x != a
-        d_ab = self.distance(a, b)
-        d_ax = self.distance(a, x)
+        mask = self.mask
+        d_ab = (b - a) & mask
+        d_ax = (x - a) & mask
         if inclusive_right:
             return 0 < d_ax <= d_ab
         return 0 < d_ax < d_ab
@@ -113,7 +119,7 @@ class IdSpace:
         """Start of finger *index* (0-based): ``(n + 2^index) mod 2^m``."""
         if not 0 <= index < self.bits:
             raise ValueError(f"finger index out of range: {index}")
-        return (node_id + (1 << index)) % self.size
+        return (node_id + (1 << index)) & self.mask
 
     def closest_term_to_key(self, key_hash: int, term_hashes: dict) -> str:
         """Of several candidate terms, the one whose hash is closest to
@@ -127,11 +133,8 @@ class IdSpace:
         """
         if not term_hashes:
             raise ValueError("no candidate terms")
-
-        def ring_gap(term: str) -> tuple:
-            h = term_hashes[term]
-            forward = self.distance(key_hash, h)
-            backward = self.distance(h, key_hash)
-            return (min(forward, backward), term)
-
-        return min(term_hashes, key=ring_gap)
+        mask = self.mask
+        return min(
+            (min((h - key_hash) & mask, (key_hash - h) & mask), term)
+            for term, h in term_hashes.items()
+        )[1]

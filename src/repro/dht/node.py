@@ -49,9 +49,11 @@ class ChordNode:
 
     def owns(self, key: int) -> bool:
         """Chord ownership test: key ∈ (predecessor, self]."""
-        if self.predecessor is None:
+        pred = self.predecessor
+        if pred is None or pred == self.node_id:
             return True
-        return self.space.in_interval(key, self.predecessor, self.node_id)
+        mask = self.space.mask
+        return 0 < ((key - pred) & mask) <= ((self.node_id - pred) & mask)
 
     def closest_preceding_finger(
         self, key: int, is_usable: Callable[[int], bool]
@@ -62,15 +64,18 @@ class ChordNode:
         caller deems unusable (failed nodes); returns ``self.node_id``
         when no finger helps, which terminates the lookup loop at the
         successor.
+
+        A finger qualifies when its clockwise distance from this node is
+        below the key's; a key equal to this node's id leaves the whole
+        ring open.  The cheap distance test runs before *is_usable*.
         """
+        node_id = self.node_id
+        mask = self.space.mask
+        limit = ((key - node_id) & mask) or mask + 1
         for finger in reversed(self.fingers):
-            if finger == self.node_id:
-                continue
-            if not is_usable(finger):
-                continue
-            if self.space.in_interval(finger, self.node_id, key, inclusive_right=False):
+            if 0 < ((finger - node_id) & mask) < limit and is_usable(finger):
                 return finger
-        return self.node_id
+        return node_id
 
     def first_live_successor(self, is_usable: Callable[[int], bool]) -> Optional[int]:
         """The nearest usable entry of the successor list (or the plain

@@ -511,6 +511,7 @@ class ChordRing:
         path = [current.node_id]
         max_steps = 2 * self.space.bits + len(self._live_sorted)
         hop_transport = self.transport.active
+        mask = self.space.mask
 
         while True:
             if current.owns(key):
@@ -522,7 +523,10 @@ class ChordRing:
             # window (Section 7).  Intermediate routing, by contrast, may
             # freely skip dead fingers via the successor list.
             raw_successor = current.successor
-            if self.space.in_interval(key, current.node_id, raw_successor):
+            cur_id = current.node_id
+            if raw_successor == cur_id or (
+                0 < ((key - cur_id) & mask) <= ((raw_successor - cur_id) & mask)
+            ):
                 if not self.is_live(raw_successor):
                     raise NodeFailedError(raw_successor)
                 if hop_transport:
@@ -623,16 +627,23 @@ class ChordRing:
         :class:`MessageDroppedError` when a lossy transport exhausts its
         retries.  Byte/hop accounting (:class:`NetworkStats`) records the
         message once on success, exactly as before; wire-level attempt
-        and timing detail lives in the transport's trace log.
+        and timing detail lives in the transport's trace log.  An
+        inactive transport (perfect, no trace attached) could neither
+        delay, drop, nor observe the message, so it is not called: the
+        ring applies the dead-destination rule itself, the same contract
+        the lookup hop loop follows.
         """
         dst = self.nodes.get(message.dst)
         if dst is None:
             raise NodeNotFoundError(message.dst)
-        receipt = self.transport.deliver(message, dst_alive=dst.alive)
-        if receipt.outcome is DeliveryOutcome.DEST_DOWN:
+        if self.transport.active:
+            receipt = self.transport.deliver(message, dst_alive=dst.alive)
+            if receipt.outcome is DeliveryOutcome.DEST_DOWN:
+                raise NodeFailedError(message.dst)
+            if not receipt.ok:
+                raise MessageDroppedError(message.dst, receipt.attempts)
+        elif not dst.alive:
             raise NodeFailedError(message.dst)
-        if not receipt.ok:
-            raise MessageDroppedError(message.dst, receipt.attempts)
         self.stats.record(message)
 
     # -- membership changes -------------------------------------------------

@@ -48,6 +48,7 @@ class NetworkStats:
     def __init__(self) -> None:
         self._by_kind: Dict[MessageKind, KindStats] = defaultdict(KindStats)
         self._lookup_hop_samples: List[int] = []
+        self._lookup_hops_total = 0
 
     def record(self, msg: Message) -> None:
         """Account for one delivered message."""
@@ -56,6 +57,7 @@ class NetworkStats:
     def record_lookup(self, hops: int) -> None:
         """Record the hop count of one completed DHT lookup."""
         self._lookup_hop_samples.append(hops)
+        self._lookup_hops_total += hops
         self._by_kind[MessageKind.LOOKUP].messages += 1
         self._by_kind[MessageKind.LOOKUP].hops += hops
 
@@ -83,11 +85,16 @@ class NetworkStats:
         return list(self._lookup_hop_samples)
 
     @property
+    def lookup_count(self) -> int:
+        """Lookups recorded so far (no copy of the hop samples)."""
+        return len(self._lookup_hop_samples)
+
+    @property
     def mean_lookup_hops(self) -> float:
         """Mean hops per lookup (0.0 when no lookups happened)."""
         if not self._lookup_hop_samples:
             return 0.0
-        return sum(self._lookup_hop_samples) / len(self._lookup_hop_samples)
+        return self._lookup_hops_total / len(self._lookup_hop_samples)
 
     def snapshot(self) -> Dict[MessageKind, KindStats]:
         """An immutable-enough copy of the current per-kind counters."""
@@ -116,6 +123,7 @@ class NetworkStats:
         """Zero all counters."""
         self._by_kind.clear()
         self._lookup_hop_samples.clear()
+        self._lookup_hops_total = 0
 
     def summary(self) -> Dict[str, Dict[str, int]]:
         """A plain-dict summary for printing/reporting."""

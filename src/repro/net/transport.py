@@ -112,10 +112,11 @@ class Transport(Protocol):
     clock: SimulatedClock
     trace: Optional[TraceLog]
 
-    #: Whether per-hop lookup deliveries must be routed through
-    #: :meth:`deliver`.  ``False`` lets the hot lookup loop skip building
-    #: a Message per hop when the transport could neither delay, drop,
-    #: nor trace it.
+    #: Whether deliveries must be routed through :meth:`deliver`.
+    #: ``False`` promises the transport could neither delay, drop, nor
+    #: trace a message, so the ring skips building a Message per lookup
+    #: hop and skips :meth:`deliver` on application sends, raising the
+    #: dead-destination error itself.
     active: bool
 
     def deliver(self, message: "Message", dst_alive: bool = True) -> DeliveryReceipt:

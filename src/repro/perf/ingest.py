@@ -242,7 +242,7 @@ def _run(cfg: IngestWorkloadConfig) -> IngestWorkloadResult:
 
     # -- phase 2: bulk corpus build ----------------------------------------
     before = ring.stats.snapshot()
-    lookup_count_before = len(ring.stats.lookup_hop_samples)
+    lookup_count_before = ring.stats.lookup_count
     t0 = perf_counter()
     for i, owner in enumerate(owners):
         owner.share_bulk(slice_of[i])
@@ -254,7 +254,7 @@ def _run(cfg: IngestWorkloadConfig) -> IngestWorkloadResult:
         if kind.value in _WRITE_KINDS:
             write_messages += stats.messages
             write_bytes += stats.bytes
-    build_lookups = len(ring.stats.lookup_hop_samples) - lookup_count_before
+    build_lookups = ring.stats.lookup_count - lookup_count_before
 
     # -- phase 3: training queries + one learning iteration ----------------
     pool = [

@@ -9,6 +9,9 @@ arbitrary batch splits.
 
 from __future__ import annotations
 
+from collections import Counter
+from typing import List, Set
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,3 +185,63 @@ class TestSelectIndexTerms:
             target_size=4,
         )
         assert len(chosen) == len(set(chosen))
+
+
+def reference_select_index_terms(document, current_terms, rank_list, target_size):
+    """The pre-optimisation selection, verbatim: retained terms ordered
+    through the whole-document :meth:`Document.term_rank` map."""
+    tf_rank = document.term_rank()
+    chosen: List[str] = []
+    chosen_set: Set[str] = set()
+    for ranked in rank_list:
+        if len(chosen) >= target_size:
+            break
+        if ranked.score <= 0.0:
+            break
+        if ranked.term in chosen_set:
+            continue
+        chosen.append(ranked.term)
+        chosen_set.add(ranked.term)
+    if len(chosen) < target_size:
+        retained = sorted(
+            (t for t in current_terms if t not in chosen_set),
+            key=lambda t: (tf_rank.get(t, len(tf_rank)), t),
+        )
+        for term in retained:
+            if len(chosen) >= target_size:
+                break
+            chosen.append(term)
+            chosen_set.add(term)
+    if len(chosen) < target_size:
+        for term in document.top_terms(len(tf_rank)):
+            if len(chosen) >= target_size:
+                break
+            if term not in chosen_set:
+                chosen.append(term)
+                chosen_set.add(term)
+    return chosen
+
+
+#: Document vocabulary plus terms no document below contains.
+VOCAB = [f"t{i}" for i in range(10)]
+ABSENT = ["x0", "x1", "x2"]
+
+
+@settings(max_examples=300)
+@given(
+    freqs=st.dictionaries(st.sampled_from(VOCAB), st.integers(1, 3), min_size=1),
+    current=st.lists(st.sampled_from(VOCAB + ABSENT), max_size=8, unique=True),
+    ranked=st.lists(
+        st.tuples(st.sampled_from(VOCAB + ABSENT), st.sampled_from([0.9, 0.5, 0.5, 0.0, -0.1])),
+        max_size=6,
+    ),
+    target_size=st.integers(1, 14),
+)
+def test_select_index_terms_matches_term_rank_order(freqs, current, ranked, target_size) -> None:
+    """tf ties (frequencies 1–3), current terms the document lacks, and
+    budgets past the document's size, which reach the padding branch."""
+    document = Document("d", "", _term_freqs=Counter(freqs), _length=sum(freqs.values()))
+    rank_list = [RankedTerm(t, s) for t, s in ranked]
+    assert select_index_terms(document, current, rank_list, target_size) == (
+        reference_select_index_terms(document, current, rank_list, target_size)
+    )

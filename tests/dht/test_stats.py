@@ -42,6 +42,14 @@ class TestLookups:
 
     def test_mean_with_no_lookups(self) -> None:
         assert NetworkStats().mean_lookup_hops == 0.0
+        assert NetworkStats().lookup_count == 0
+
+    def test_lookup_count_and_running_mean(self) -> None:
+        stats = NetworkStats()
+        for hops in (1, 0, 4, 2):
+            stats.record_lookup(hops)
+        assert stats.lookup_count == 4 == len(stats.lookup_hop_samples)
+        assert stats.mean_lookup_hops == 7 / 4
 
     def test_lookup_counted_as_messages(self) -> None:
         stats = NetworkStats()
@@ -83,6 +91,9 @@ class TestReset:
         stats.reset()
         assert stats.total_messages == 0
         assert stats.lookup_hop_samples == []
+        assert stats.lookup_count == 0
+        stats.record_lookup(3)
+        assert stats.mean_lookup_hops == 3.0
 
 
 class TestSummary:
