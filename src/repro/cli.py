@@ -52,7 +52,6 @@ from .config import (
     ExperimentConfig,
     LATENCY_MODELS,
     RING_KINDS,
-    SCORING_KERNELS,
     STORE_BACKENDS,
     TRANSPORT_KINDS,
     paper_experiment_config,
@@ -384,6 +383,9 @@ def cmd_net(args: argparse.Namespace, out) -> int:
 
 
 def cmd_search(args: argparse.Namespace, out) -> int:
+    if args.top < 1:
+        out.write(f"error: --top must be >= 1, got {args.top}\n")
+        return 2
     env = _build_env(args, out)
     out.write("training SPRITE (share + insert queries + learn)...\n")
     system = build_trained_sprite(env)
@@ -476,7 +478,6 @@ def cmd_perf(args: argparse.Namespace, out) -> int:
     cfg = cfg.replaced(
         optimized=not args.baseline,
         seed=args.seed,
-        kernel=args.kernel,
         ring=kind,
         ring_arity=arity,
     )
@@ -539,11 +540,11 @@ def _cmd_perf_scale(args: argparse.Namespace, out) -> int:
     )
 
     cfg = scale_smoke_config() if args.small else scale_paper_config()
-    cfg = cfg.replaced(seed=args.seed, workers=args.workers, kernel=args.kernel)
+    cfg = cfg.replaced(seed=args.seed, workers=args.workers)
     if args.shards:
         cfg = cfg.replaced(num_shards=args.shards)
     out.write(
-        f"scale workload [{cfg.kernel} kernel]: {cfg.num_peers} peers, "
+        f"scale workload: {cfg.num_peers} peers, "
         f"{cfg.num_documents} docs, {cfg.num_queries} queries over "
         f"{cfg.num_shards} shards × {cfg.workers} workers\n"
     )
@@ -901,9 +902,10 @@ def cmd_check(args: argparse.Namespace, out) -> int:
     schedule, ``--random`` to generate one from ``--seed``, or
     ``--catalogue NAME|all`` to run the adversarial workload catalogue)
     against a micro SPRITE deployment, checking the two-tier invariant
-    catalogue between events; then runs the differential oracle
-    (optimized vs direct execution paths, full-index SPRITE vs
-    centralized TF-IDF).  Exit code 1 on any invariant violation or
+    catalogue between events; then runs the seven comparisons of the
+    differential oracle (among them production query execution vs the
+    per-term reference of :mod:`repro.reference`, and full-index SPRITE
+    vs centralized TF-IDF).  Exit code 1 on any invariant violation or
     oracle mismatch.
     """
     from .net import build_transport
@@ -1099,14 +1101,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="shard count override for --mode scale (0 = config default)",
-    )
-    scale.add_argument(
-        "--kernel",
-        choices=SCORING_KERNELS,
-        default="python",
-        help="phase-B scoring kernel: python (scalar, default) or numpy "
-        "(vectorized slot kernels; needs the perf extra). Rankings are "
-        "bit-identical either way.",
     )
     concurrency = p.add_argument_group("concurrent runtime (DESIGN.md §15)")
     concurrency.add_argument(

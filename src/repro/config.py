@@ -31,11 +31,6 @@ def _require(condition: bool, message: str) -> None:
 #: Posting-store backends :class:`SpriteConfig` may name.
 STORE_BACKENDS: Tuple[str, ...] = ("memory", "sqlite")
 
-#: Phase-B scoring kernels :class:`SpriteConfig` may name.  ``"numpy"``
-#: needs the optional ``perf`` extra; validation happens where the
-#: query processor is built, not here, so configs stay plain data.
-SCORING_KERNELS: Tuple[str, ...] = ("python", "numpy")
-
 #: Overlay ring kinds :class:`SpriteConfig` may name (DESIGN.md §16):
 #: ``"chord"`` is the paper's Stoica-et-al. ring, ``"record"`` the
 #: ReCord-style recursive ring whose ``ring_arity`` trades finger-table
@@ -175,12 +170,6 @@ class SpriteConfig:
     #: Bloom-filter existence check in front of SQLite point lookups
     #: (reuses :mod:`repro.dht.bloom`); irrelevant to the memory backend.
     store_bloom: bool = True
-    #: Phase-B scoring kernel (DESIGN.md §13): ``"python"`` is the
-    #: scalar accumulation loop, ``"numpy"`` the vectorized slot kernels
-    #: of :mod:`repro.ir.kernels` (optional ``perf`` extra).  Rankings
-    #: are bit-identical either way — the sixth oracle comparison and
-    #: the kernel property tests hold the two paths to exact equality.
-    scoring_kernel: str = "python"
     #: Overlay routing structure (DESIGN.md §16): ``"chord"`` keeps the
     #: paper's ring; ``"record"`` swaps in the ReCord-style recursive
     #: ring.  Routing changes where lookup messages travel, never what
@@ -210,10 +199,6 @@ class SpriteConfig:
             f"store_backend must be one of {STORE_BACKENDS}",
         )
         _require(self.snapshot_interval >= 0, "snapshot_interval must be >= 0")
-        _require(
-            self.scoring_kernel in SCORING_KERNELS,
-            f"scoring_kernel must be one of {SCORING_KERNELS}",
-        )
         _require(
             self.ring in RING_KINDS,
             f"ring must be one of {RING_KINDS}",

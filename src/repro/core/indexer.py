@@ -93,12 +93,6 @@ class SlotView:
             self._slot.scoring_lookup(doc_id) if self._slot is not None else None
         )
 
-    def columnar_store(self):
-        """The slot's backing columnar store (``None`` for unindexed
-        terms and non-columnar backends) — see
-        :meth:`repro.core.metadata.TermSlot.columnar_store`."""
-        return self._slot.columnar_store() if self._slot is not None else None
-
 
 class IndexingProtocol:
     """Network-level operations on the distributed term index.
@@ -484,6 +478,7 @@ class IndexingProtocol:
         self.ring.send(postings_message(node_id, issuer_id, len(postings)))
         return postings, slot.indexed_document_frequency
 
+    # Unused by the query path; perfbench/tracing.py wraps it by name.
     def fetch_postings_batch(
         self, issuer_id: int, terms: Sequence[str]
     ) -> Tuple[Dict[str, Tuple[List[PostingEntry], int]], List[str]]:
@@ -523,7 +518,7 @@ class IndexingProtocol:
 
         Sends *exactly* the same messages as :meth:`fetch_postings_batch`
         (same kinds, sizes, and hops — both share one batching core), so
-        the two execution paths are indistinguishable to NetworkStats.
+        the two payload shapes are indistinguishable to NetworkStats.
         """
         def extract(term: str, slot: Optional[TermSlot]):
             view = SlotView(term, slot)

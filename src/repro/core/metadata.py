@@ -198,14 +198,6 @@ class TermSlot:
         """Whether the columnar backend is in use."""
         return isinstance(self._store, ColumnarPostings)
 
-    def columnar_store(self) -> Optional[ColumnarPostings]:
-        """The backing columnar store, or ``None`` for other backends —
-        the hook the vectorized kernels (:mod:`repro.ir.kernels`) use to
-        reach the raw columns; non-columnar slots make the whole query
-        fall back to the scalar path."""
-        store = self._store
-        return store if isinstance(store, ColumnarPostings) else None
-
     # -- mutation -----------------------------------------------------------
 
     def add_posting(self, entry: PostingEntry) -> None:

@@ -88,7 +88,6 @@ class DistributedSystem:
             assumed_corpus_size=self.config.assumed_corpus_size,
             early_termination=getattr(self.config, "early_termination", True),
             result_cache=getattr(self.config, "result_cache_size", 0) > 0,
-            kernel=getattr(self.config, "scoring_kernel", "python"),
         )
         self.owners: Dict[int, OwnerPeer] = {}
         self._doc_owner: Dict[str, int] = {}

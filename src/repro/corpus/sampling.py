@@ -2,8 +2,8 @@
 
 The synthetic corpus generator and the workload shaping code both need
 Zipf-skewed categorical sampling that is reproducible from a seed and
-independent of numpy version quirks, so a small bisect-based sampler is
-implemented here.
+independent of third-party library versions, so a small bisect-based
+sampler is implemented here.
 """
 
 from __future__ import annotations

@@ -115,37 +115,6 @@ class DocTable:
 GLOBAL_DOC_TABLE = DocTable()
 
 
-class KernelScratch:
-    """Per-store scratch slot for :mod:`repro.ir.kernels` column views.
-
-    The vectorized kernels build zero-copy ``np.frombuffer`` views over
-    a store's columns and cache them here, keyed by the slot version.
-    Two hard constraints shape this object:
-
-    * ``array`` refuses to **resize** while any view exports its buffer
-      (``BufferError``), so the store drops the scratch at the top of
-      every mutation — before the column resize — releasing the export;
-    * replication deep-copies node stores, and a copied view would
-      alias the *original* buffers, so ``__deepcopy__`` yields a fresh
-      empty scratch instead of copying anything.
-    """
-
-    __slots__ = ("version", "views")
-
-    def __init__(self) -> None:
-        self.version = -1
-        self.views: Optional[tuple] = None
-
-    def drop(self) -> None:
-        """Release the cached views (and their buffer exports)."""
-        if self.views is not None:
-            self.views = None
-            self.version = -1
-
-    def __deepcopy__(self, memo) -> "KernelScratch":
-        return KernelScratch()
-
-
 class ColumnarPostings:
     """Parallel-array posting store with incremental slot aggregates."""
 
@@ -163,7 +132,6 @@ class ColumnarPostings:
         self._max_impact = 0.0
         self._max_dirty = False
         self._version = next_version()
-        self.kernel_scratch = KernelScratch()
 
     # -- aggregates ---------------------------------------------------------
 
@@ -191,7 +159,6 @@ class ColumnarPostings:
     def add(self, doc_id: str, owner_peer: int, raw_tf: int, doc_length: int) -> None:
         """Insert or overwrite the posting for *doc_id* (dict semantics:
         an overwrite keeps the posting's enumeration position)."""
-        self.kernel_scratch.drop()
         length = doc_length if doc_length > 0 else 0
         ntf = raw_tf / doc_length if doc_length > 0 else 0.0
         impact = posting_impact(raw_tf, doc_length)
@@ -223,7 +190,6 @@ class ColumnarPostings:
         unpublish during learning replacement — so enumeration order
         stays identical to a dict's.
         """
-        self.kernel_scratch.drop()
         row = self._pos.pop(doc_id, None)
         if row is None:
             return None

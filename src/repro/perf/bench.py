@@ -11,9 +11,10 @@ cost shows up in the totals.
 :class:`PerfWorkloadResult` with phase timings, throughput, network
 statistics, and a **ranking checksum** — a digest of every query's
 ranked answer list.  Running the workload with ``optimized=False``
-(route cache off, incremental repair off, legacy per-term fetch and
-nested-dict scoring) must produce the *same checksum*: the optimization
-layer changes speed, never results.  ``benchmarks/test_bench_perf.py``
+(route cache off, incremental repair off, and the per-term fetch and
+nested-dict scoring of :func:`repro.reference.reference_execute`) must
+produce the *same checksum*: the optimization layer changes speed,
+never results.  ``benchmarks/test_bench_perf.py``
 asserts exactly that while recording before/after numbers into
 ``BENCH_PERF.json``.
 """
@@ -33,6 +34,7 @@ from ..core.query_processing import QueryProcessor
 from ..corpus.relevance import Query
 from ..dht.messages import MessageKind
 from ..dht.recursive import build_ring
+from ..reference import reference_execute
 from .profile import PROFILE
 
 
@@ -58,13 +60,10 @@ class PerfWorkloadConfig:
     seed: int = 4111
     optimized: bool = True
     #: Exact max-score early termination (ISSUE 4); only meaningful with
-    #: ``optimized=True`` (the legacy path has no bounded-top-k mode).
+    #: ``optimized=True`` (the reference path has no bounded-top-k mode).
     early_termination: bool = True
     #: Per-indexing-peer query-result cache capacity (0 = off).
     result_cache_size: int = 0
-    #: Phase-B scoring kernel ("python" scalar / "numpy" vectorized,
-    #: DESIGN.md §13); identical rankings either way.
-    kernel: str = "python"
     #: Overlay routing structure ("chord" / "record", DESIGN.md §16);
     #: rankings are bit-identical across rings — only hop counts differ.
     ring: str = "chord"
@@ -163,14 +162,18 @@ def _run(cfg: PerfWorkloadConfig) -> PerfWorkloadResult:
         getattr(cfg, "ring", "chord"), chord, arity=getattr(cfg, "ring_arity", 2)
     )
     protocol = IndexingProtocol(ring, result_cache_size=cfg.result_cache_size)
-    processor = QueryProcessor(
-        protocol,
-        assumed_corpus_size=1_000_000,
-        batch_fetch=cfg.optimized,
-        early_termination=cfg.early_termination,
-        result_cache=cfg.result_cache_size > 0,
-        kernel=getattr(cfg, "kernel", "python"),
-    )
+    assumed_n = 1_000_000
+    if cfg.optimized:
+        execute = QueryProcessor(
+            protocol,
+            assumed_corpus_size=assumed_n,
+            early_termination=cfg.early_termination,
+            result_cache=cfg.result_cache_size > 0,
+        ).execute
+    else:
+
+        def execute(issuer_id, query, top_k):
+            return reference_execute(protocol, issuer_id, query, assumed_n, top_k)
     build_s = perf_counter() - t0
     PROFILE.record_memory("build")
 
@@ -234,7 +237,7 @@ def _run(cfg: PerfWorkloadConfig) -> PerfWorkloadResult:
             churn_s += perf_counter() - t_churn
             t_phase = perf_counter()
         query = pool[rng.choices(range(cfg.distinct_queries), weights=pool_weights)[0]]
-        ranked, __ = processor.execute(issuer_of[query.query_id], query, top_k=20)
+        ranked, __ = execute(issuer_of[query.query_id], query, top_k=20)
         checksum.update(query.query_id.encode())
         for entry in ranked:
             checksum.update(f"{entry.doc_id}:{entry.score!r}".encode())

@@ -303,7 +303,7 @@ def _run(cfg: IngestWorkloadConfig) -> IngestWorkloadResult:
 
     # -- phase 5: evaluation queries + ranking checksum ---------------------
     processor = QueryProcessor(
-        protocol, assumed_corpus_size=cfg.num_documents, batch_fetch=True
+        protocol, assumed_corpus_size=cfg.num_documents
     )
     checksum = sha256()
     for q in range(cfg.num_eval_queries):

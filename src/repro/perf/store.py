@@ -298,7 +298,7 @@ def _run(cfg: StoreWorkloadConfig) -> StoreWorkloadResult:
 
         # -- phase 3: evaluation queries + ranking checksum -------------
         processor = QueryProcessor(
-            protocol, assumed_corpus_size=cfg.num_documents, batch_fetch=True
+            protocol, assumed_corpus_size=cfg.num_documents
         )
         checksum = sha256()
         t0 = perf_counter()

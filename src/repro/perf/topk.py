@@ -5,10 +5,12 @@ query stream, and churn schedule — and runs it in four retrieval modes
 over identical inputs:
 
 * ``legacy`` — the seed execution path (per-term fetch, nested-dict
-  scoring, no route cache), identical to ``BENCH_PERF.json``'s
-  "before" mode.  The acceptance baseline;
-* ``batched`` — the ISSUE 2 optimized path (batched fetch + exhaustive
-  flat-dict scoring), identical to ``BENCH_PERF.json``'s "after" mode;
+  scoring, no route cache) of :func:`repro.reference.reference_execute`,
+  identical to ``BENCH_PERF.json``'s "before" mode.  The acceptance
+  baseline;
+* ``batched`` — the production path with early termination off
+  (batched fetch + exhaustive flat-dict scoring), the optimized path
+  of ``BENCH_PERF.json``'s "after" mode;
 * ``topk`` — columnar slots + exact max-score early termination, result
   cache off.  Same messages on the wire as ``batched``, strictly less
   scoring work;

@@ -1,16 +1,17 @@
 """The differential oracle: SPRITE checked against simpler truths.
 
-Eight comparisons, all on a churn-free ring:
+Seven comparisons, all on a churn-free ring:
 
 * **Perf-path equivalence** — the PR-2 optimizations (route caching,
-  incremental repair, batched fetch with flat-dict scoring) are pure
-  performance work, so rankings must be *bit-identical* to the direct
-  path (no route cache, full-rebuild stabilization, per-term legacy
-  fetch).  The oracle replays the same seeded end-to-end flow through
-  two systems differing only in those switches and compares every
-  ranking exactly — score bits included, because the optimized scoring
-  loop intentionally performs the same floating-point operations in the
-  same order.
+  incremental repair, the production query path's batched fetch and
+  flat-dict scoring) are pure performance work, so rankings must be
+  *bit-identical* to the direct path: no route cache, full-rebuild
+  stabilization, and every test query run through the per-term
+  reference :func:`repro.reference.reference_execute`.  The oracle
+  replays the same seeded end-to-end flow through both systems and
+  compares every ranking exactly — score bits included, because the
+  production scoring loop intentionally performs the same
+  floating-point operations in the same order.
 
 * **Top-k path equivalence** — the ISSUE 4 retrieval rebuild (columnar
   slots, exact max-score early termination, query-result caching) must
@@ -43,15 +44,6 @@ Eight comparisons, all on a churn-free ring:
   integer posting columns; every float is recomputed through the same
   expressions the columnar store uses, so there is no tolerance to
   hide behind.
-
-* **Kernel-path equivalence** — the DESIGN.md §13 vectorized scoring
-  kernel (numpy slot views feeding phase B of top-k execution) is pure
-  data-layout work over the same floating-point expressions in the
-  same order, so a ``scoring_kernel="numpy"`` system must produce
-  rankings *bit-identical* to the scalar ``"python"`` path across the
-  full seeded flow.  When numpy is not installed the comparison
-  degenerates to an empty (vacuously consistent) report — the kernel
-  is an optional ``perf`` extra, never a correctness dependency.
 
 * **Concurrent-runtime equivalence** — the DESIGN.md §15 event-driven
   runtime is a *timing* model layered over unchanged semantics, so the
@@ -94,6 +86,7 @@ from ..core.metadata import TermSlot
 from ..core.system import DistributedSystem, SpriteSystem
 from ..ir.centralized import CentralizedSystem
 from ..ir.ranking import RankedList
+from ..reference import reference_execute
 
 
 def write_state_fingerprint(system: DistributedSystem) -> Dict[str, object]:
@@ -232,7 +225,6 @@ class DifferentialOracle:
         result_cache_size: int = 0,
         batched_writes: bool = True,
         store_backend: str = "memory",
-        scoring_kernel: str = "python",
     ) -> SpriteConfig:
         return SpriteConfig(
             initial_terms=3,
@@ -246,24 +238,22 @@ class DifferentialOracle:
             result_cache_size=result_cache_size,
             batched_writes=batched_writes,
             store_backend=store_backend,
-            scoring_kernel=scoring_kernel,
         )
 
     def _build_sprite(self, optimized: bool) -> SpriteSystem:
-        system = SpriteSystem(
+        return SpriteSystem(
             self.corpus,
             sprite_config=self._sprite_config(),
             chord_config=self._chord_config(optimized),
         )
-        system.processor.batch_fetch = optimized
-        return system
 
     # -- comparison 1: optimized vs direct execution paths -----------------
 
     def check_perf_paths(self) -> OracleReport:
         """Replay the full seeded flow (share → register training →
-        learn → query) through the optimized and the direct system;
-        every test-query ranking must match bit for bit."""
+        learn → query) through the optimized and the direct system; the
+        direct system answers through :func:`reference_execute`.  Every
+        test-query ranking must match bit for bit."""
         report = OracleReport(name="perf-paths")
         optimized = self._build_sprite(optimized=True)
         direct = self._build_sprite(optimized=False)
@@ -274,7 +264,15 @@ class DifferentialOracle:
         for query in self.test:
             # cache=False: comparing execution, not mutating cache state.
             fast = _pairs(optimized.search(query, cache=False))
-            slow = _pairs(direct.search(query, cache=False))
+            ranked, __ = reference_execute(
+                direct.protocol,
+                direct._issuer_for(query),
+                query,
+                direct.config.assumed_corpus_size,
+                top_k=direct.config.top_k_answers,
+                cache=False,
+            )
+            slow = _pairs(ranked)
             report.queries_compared += 1
             if fast != slow:
                 report.mismatches.append(
@@ -285,7 +283,7 @@ class DifferentialOracle:
                 )
         return report
 
-    # -- comparison 2: top-k path vs exhaustive batched path -----------------
+    # -- comparison 2: top-k path vs exhaustive path -------------------------
 
     def check_topk_paths(self) -> OracleReport:
         """Replay the seeded flow through three optimized systems that
@@ -495,46 +493,7 @@ class DifferentialOracle:
             chord_config=self._chord_config(optimized=True),
         )
 
-    # -- comparison 3c: vectorized vs scalar scoring kernel ------------------
-
-    def check_kernel_paths(self) -> OracleReport:
-        """Replay the full seeded flow through a vectorized
-        (``scoring_kernel="numpy"``) and a scalar (``"python"``) system;
-        every test-query ranking must match bit for bit.  The kernel is
-        an optional extra, so without numpy the report is empty (zero
-        queries compared) and vacuously consistent."""
-        from ..perf.compat import have_numpy
-
-        report = OracleReport(name="kernel-paths")
-        if not have_numpy():
-            return report
-        vectorized = self._build_kernel_sprite(scoring_kernel="numpy")
-        scalar = self._build_kernel_sprite(scoring_kernel="python")
-        for system in (vectorized, scalar):
-            system.share_corpus()
-            system.register_queries(self.train)
-            system.run_learning()
-        for query in self.test:
-            fast = _pairs(vectorized.search(query, cache=False))
-            slow = _pairs(scalar.search(query, cache=False))
-            report.queries_compared += 1
-            if fast != slow:
-                report.mismatches.append(
-                    RankingMismatch(
-                        query_id=query.query_id,
-                        detail=f"numpy={fast[:3]}... python={slow[:3]}...",
-                    )
-                )
-        return report
-
-    def _build_kernel_sprite(self, scoring_kernel: str) -> SpriteSystem:
-        return SpriteSystem(
-            self.corpus,
-            sprite_config=self._sprite_config(scoring_kernel=scoring_kernel),
-            chord_config=self._chord_config(optimized=True),
-        )
-
-    # -- comparison 3d: event-driven runtime vs call-stack execution ---------
+    # -- comparison 3c: event-driven runtime vs call-stack execution ---------
 
     def check_concurrent_runtime(self) -> OracleReport:
         """Submit the test queries through the event-driven runtime at
@@ -595,7 +554,7 @@ class DifferentialOracle:
                 )
         return report
 
-    # -- comparison 3e: ReCord recursive ring vs Chord ring ------------------
+    # -- comparison 3d: ReCord recursive ring vs Chord ring ------------------
 
     def check_ring_paths(self) -> OracleReport:
         """Replay the full seeded flow through a ReCord (b = 8) and a
@@ -705,7 +664,6 @@ class DifferentialOracle:
             self.check_topk_paths(),
             self.check_ingest_paths(),
             self.check_store_paths(),
-            self.check_kernel_paths(),
             self.check_concurrent_runtime(),
             self.check_ring_paths(),
             self.check_centralized_baseline(),

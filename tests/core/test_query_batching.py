@@ -2,11 +2,11 @@
 
 Two independent claims, each load-bearing for the perf layer:
 
-* **batched ≡ legacy** — ``QueryProcessor(batch_fetch=True)`` (per-peer
-  merged fetches + one-pass flat-dict scoring) returns bit-identical
-  ranked lists to the retained legacy path (per-term fetches +
-  nested-dict scoring), including under peer failures, while sending no
-  more SEARCH/POSTINGS messages;
+* **batched ≡ legacy** — ``QueryProcessor`` (per-peer merged fetches +
+  one-pass flat-dict scoring) returns bit-identical ranked lists to the
+  per-term reference :func:`repro.reference.reference_execute` (per-term
+  fetches + nested-dict scoring), bounded or unbounded, including under
+  peer failures, while sending no more SEARCH/POSTINGS messages;
 * **cache-on ≡ cache-off** (satellite) — with the route cache enabled
   vs disabled, identical rankings *and* identical per-kind
   ``NetworkStats`` message counts under the perfect transport, across a
@@ -26,18 +26,20 @@ from repro.core.query_processing import QueryProcessor
 from repro.corpus.relevance import Query
 from repro.dht.messages import MessageKind
 from repro.dht.ring import ChordRing
+from repro.reference import reference_execute
 
 VOCAB = [f"kw{i:03d}" for i in range(40)]
 
 
-def build_stack(route_cache: int = 65536, batch: bool = True, seed: int = 7):
+ASSUMED_N = 10_000
+
+
+def build_stack(route_cache: int = 65536, seed: int = 7):
     ring = ChordRing(
         ChordConfig(num_peers=64, seed=seed, route_cache_size=route_cache)
     )
     protocol = IndexingProtocol(ring)
-    processor = QueryProcessor(
-        protocol, assumed_corpus_size=10_000, batch_fetch=batch
-    )
+    processor = QueryProcessor(protocol, assumed_corpus_size=ASSUMED_N)
     rng = random.Random(seed)
     for d in range(30):
         doc_id = f"d{d:03d}"
@@ -61,7 +63,19 @@ def query_stream(count: int = 40, seed: int = 23):
     return queries
 
 
-def run_stream(ring, processor, queries, churn: bool = False):
+def reference(protocol):
+    """:func:`reference_execute` with ``QueryProcessor.execute``'s
+    signature, bound to *protocol*."""
+
+    def execute(issuer_id, query, top_k=None, cache=True):
+        return reference_execute(
+            protocol, issuer_id, query, ASSUMED_N, top_k=top_k, cache=cache
+        )
+
+    return execute
+
+
+def run_stream(ring, execute, queries, churn: bool = False, top_k=10):
     rankings = []
     for i, query in enumerate(queries):
         if churn and i and i % 10 == 0:
@@ -69,28 +83,34 @@ def run_stream(ring, processor, queries, churn: bool = False):
             ring.leave(ring.live_ids[(i * 13) % ring.num_live])
             ring.stabilize()
         issuer = ring.live_ids[(i * 5) % ring.num_live]
-        ranked, __ = processor.execute(issuer, query, top_k=10)
+        ranked, __ = execute(issuer, query, top_k=top_k)
         rankings.append([(e.doc_id, e.score) for e in ranked])
     return rankings
 
 
 class TestBatchedEqualsLegacy:
+    """The production processor against the per-term reference."""
+
     def test_identical_rankings_bit_for_bit(self) -> None:
-        ring_b, __, proc_batched = build_stack(batch=True)
-        ring_l, __, proc_legacy = build_stack(batch=False)
-        queries = query_stream()
-        batched = run_stream(ring_b, proc_batched, queries)
-        legacy = run_stream(ring_l, proc_legacy, queries)
-        # Exact equality, scores included: the one-pass scorer performs
-        # the same float operations in the same order.
-        assert batched == legacy
+        # top_k=None takes the same single path without pruning or the
+        # result cache, and must match the reference just as exactly.
+        for top_k in (10, None):
+            ring_b, __, proc_batched = build_stack()
+            ring_l, proto_l, __ = build_stack()
+            queries = query_stream()
+            batched = run_stream(ring_b, proc_batched.execute, queries, top_k=top_k)
+            legacy = run_stream(ring_l, reference(proto_l), queries, top_k=top_k)
+            # Exact equality, scores included: the one-pass scorer
+            # performs the same float operations in the same order.
+            assert batched == legacy
+        assert max(len(ranking) for ranking in batched) > 10
 
     def test_batching_never_sends_more_search_traffic(self) -> None:
-        ring_b, __, proc_batched = build_stack(batch=True)
-        ring_l, __, proc_legacy = build_stack(batch=False)
+        ring_b, __, proc_batched = build_stack()
+        ring_l, proto_l, __ = build_stack()
         queries = query_stream()
-        run_stream(ring_b, proc_batched, queries)
-        run_stream(ring_l, proc_legacy, queries)
+        run_stream(ring_b, proc_batched.execute, queries)
+        run_stream(ring_l, reference(proto_l), queries)
         for kind in (MessageKind.SEARCH_TERM, MessageKind.POSTINGS):
             assert (
                 ring_b.stats.kind(kind).messages
@@ -104,7 +124,7 @@ class TestBatchedEqualsLegacy:
         )
 
     def test_terms_sharing_a_peer_share_one_message_pair(self) -> None:
-        ring, protocol, __ = build_stack()
+        ring, protocol, processor = build_stack()
         # Find two vocabulary terms resolving to the same indexing peer.
         by_peer = {}
         pair = None
@@ -118,23 +138,25 @@ class TestBatchedEqualsLegacy:
             pytest.skip("no colliding terms for this seed")
         before_s = ring.stats.kind(MessageKind.SEARCH_TERM).messages
         before_p = ring.stats.kind(MessageKind.POSTINGS).messages
-        results, failed = protocol.fetch_postings_batch(ring.live_ids[0], pair)
-        assert not failed and set(results) == set(pair)
+        __, execution = processor.execute(
+            ring.live_ids[0], Query("pair", pair), cache=False
+        )
+        assert execution.terms_visited == 2 and not execution.terms_failed
         assert ring.stats.kind(MessageKind.SEARCH_TERM).messages == before_s + 1
         assert ring.stats.kind(MessageKind.POSTINGS).messages == before_p + 1
 
     def test_identical_failure_degradation(self) -> None:
         """Both paths drop exactly the terms whose peer crashed
         (Section 7), in query order, and rank the remainder equally."""
-        ring_b, proto_b, proc_batched = build_stack(batch=True)
-        ring_l, proto_l, proc_legacy = build_stack(batch=False)
+        ring_b, proto_b, proc_batched = build_stack()
+        ring_l, proto_l, __ = build_stack()
         probe = Query("probe", (VOCAB[0], VOCAB[7], VOCAB[21]))
         victim = ring_b.successor_of(proto_b.term_hash(VOCAB[7]))
         ring_b.fail(victim)
         ring_l.fail(victim)
         issuer = next(n for n in ring_b.live_ids if n != victim)
         ranked_b, exec_b = proc_batched.execute(issuer, probe, cache=False)
-        ranked_l, exec_l = proc_legacy.execute(issuer, probe, cache=False)
+        ranked_l, exec_l = reference(proto_l)(issuer, probe, cache=False)
         assert exec_b.dropped_terms == exec_l.dropped_terms
         assert exec_b.terms_failed == exec_l.terms_failed
         assert [(e.doc_id, e.score) for e in ranked_b] == [
@@ -142,13 +164,13 @@ class TestBatchedEqualsLegacy:
         ]
 
     def test_unindexed_terms_return_empty_like_legacy(self) -> None:
-        ring, __, proc = build_stack(batch=True)
-        ranked, execution = proc.execute(
-            ring.live_ids[0], Query("ghost", ("nosuchterm",)), cache=False
-        )
-        assert len(ranked) == 0
-        assert execution.terms_visited == 1
-        assert execution.candidate_documents == 0
+        ring, protocol, proc = build_stack()
+        ghost = Query("ghost", ("nosuchterm",))
+        for execute in (proc.execute, reference(protocol)):
+            ranked, execution = execute(ring.live_ids[0], ghost, cache=False)
+            assert len(ranked) == 0
+            assert execution.terms_visited == 1
+            assert execution.candidate_documents == 0
 
 
 class TestRouteCacheEquivalence:
@@ -159,8 +181,8 @@ class TestRouteCacheEquivalence:
         ring_off, __, proc_off = build_stack(route_cache=0)
         assert ring_on.route_cache is not None and ring_off.route_cache is None
         queries = query_stream(count=60)
-        rankings_on = run_stream(ring_on, proc_on, queries, churn=True)
-        rankings_off = run_stream(ring_off, proc_off, queries, churn=True)
+        rankings_on = run_stream(ring_on, proc_on.execute, queries, churn=True)
+        rankings_off = run_stream(ring_off, proc_off.execute, queries, churn=True)
         assert rankings_on == rankings_off
         assert ring_on.route_cache.hits > 0  # the fast path actually ran
         counts_on = {

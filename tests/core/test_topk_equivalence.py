@@ -2,10 +2,11 @@
 
 The early-termination path (`QueryProcessor(early_termination=True)`)
 must be *invisible in results*: identical documents, bit-identical
-scores, identical tie-broken order versus both the batched exhaustive
-path and the seed legacy path — under repeated keywords, failures,
-document-frequency overrides, degenerate ``top_k`` values, zero-length
-documents, and either posting-store backend.
+scores, identical tie-broken order versus both the exhaustive
+``QueryProcessor(early_termination=False)`` and the per-term reference
+:func:`repro.reference.reference_execute` — under repeated keywords,
+failures, document-frequency overrides, degenerate ``top_k`` values,
+zero-length documents, and either posting-store backend.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ from repro.core.metadata import PostingEntry
 from repro.core.query_processing import QueryProcessor
 from repro.corpus.relevance import Query
 from repro.dht.ring import ChordRing
+from repro.reference import reference_execute
 
 VOCAB = [f"kw{i:03d}" for i in range(24)]
 
 
 class _RawQuery:
     """Query stand-in that skips the sorted-set normalization, to reach
-    the processors' own repeated-keyword guard."""
+    the executors' own repeated-keyword guard."""
 
     def __init__(self, query_id: str, terms) -> None:
         self.query_id = query_id
@@ -38,7 +40,6 @@ class _RawQuery:
 def build_stack(
     *,
     early_termination: bool = True,
-    batch: bool = True,
     columnar: bool = True,
     result_cache: int = 0,
     override=None,
@@ -54,7 +55,6 @@ def build_stack(
         protocol,
         assumed_corpus_size=10_000,
         document_frequency_override=override,
-        batch_fetch=batch,
         early_termination=early_termination,
         result_cache=result_cache > 0,
     )
@@ -81,36 +81,49 @@ def run_query(processor, ring, query, top_k):
     return processor.execute(issuer, query, top_k=top_k, cache=False)
 
 
+def run_reference(processor, ring, query, top_k):
+    """The same query through :func:`reference_execute`, on the stack
+    *processor* was built over (its protocol, N and df override)."""
+    return reference_execute(
+        processor.protocol,
+        ring.live_ids[0],
+        query,
+        processor.weighting.corpus_size,
+        top_k=top_k,
+        cache=False,
+        document_frequency_override=processor.document_frequency_override,
+    )
+
+
 class TestEdgeCases:
     def test_repeated_keywords_score_once(self) -> None:
         ring_t, __, proc_t = build_stack(early_termination=True)
-        ring_b, __, proc_b = build_stack(early_termination=False)
+        ring_r, __, proc_r = build_stack(early_termination=False)
         # Query normalizes keywords to a sorted set, so repeats collapse
         # before execution; both paths must agree on the collapsed view.
         query = Query("rep", (VOCAB[3], VOCAB[3], VOCAB[9], VOCAB[3]))
         assert query.terms == tuple(sorted({VOCAB[3], VOCAB[9]}))
         ranked_t, exec_t = run_query(proc_t, ring_t, query, top_k=5)
-        ranked_b, exec_b = run_query(proc_b, ring_b, query, top_k=5)
-        assert pairs(ranked_t) == pairs(ranked_b)
-        assert exec_t.terms_visited == exec_b.terms_visited == 2
-        assert exec_t.postings_retrieved == exec_b.postings_retrieved
+        ranked_r, exec_r = run_reference(proc_r, ring_r, query, top_k=5)
+        assert pairs(ranked_t) == pairs(ranked_r)
+        assert exec_t.terms_visited == exec_r.terms_visited == 2
+        assert exec_t.postings_retrieved == exec_r.postings_retrieved
 
     def test_repeated_terms_fed_directly_score_once(self) -> None:
         """The processor's own dedup guard, exercised below the Query
         normalization layer: a repeated term contributes exactly once."""
         ring_t, __, proc_t = build_stack(early_termination=True)
         ring_b, __, proc_b = build_stack(early_termination=False)
+        ring_r, __, proc_r = build_stack(early_termination=False)
         single = Query("one", (VOCAB[3],))
-        issuer_t, issuer_b = ring_t.live_ids[0], ring_b.live_ids[0]
-        repeated = (VOCAB[3], VOCAB[3], VOCAB[3])
-        ranked_t, __ = proc_t._execute_topk(
-            issuer_t, _RawQuery("raw", repeated), top_k=5, cache=False
-        )
-        ranked_b, __ = proc_b._execute_batched(
-            issuer_b, _RawQuery("raw", repeated), top_k=5, cache=False
-        )
-        base, __ = run_query(proc_b, ring_b, single, top_k=5)
-        assert pairs(ranked_t) == pairs(ranked_b) == pairs(base)
+        raw = _RawQuery("raw", (VOCAB[3], VOCAB[3], VOCAB[3]))
+        for top_k in (5, None):
+            ranked_t, __ = run_query(proc_t, ring_t, raw, top_k=top_k)
+            ranked_b, __ = run_query(proc_b, ring_b, raw, top_k=top_k)
+            ranked_r, __ = run_reference(proc_r, ring_r, raw, top_k=top_k)
+            base, __ = run_reference(proc_r, ring_r, single, top_k=top_k)
+            assert pairs(ranked_t) == pairs(ranked_b) == pairs(ranked_r)
+            assert pairs(ranked_r) == pairs(base)
 
     def test_all_terms_failed_returns_empty(self) -> None:
         ring, protocol, proc = build_stack(early_termination=True)
@@ -124,35 +137,44 @@ class TestEdgeCases:
         assert list(execution.dropped_terms) == list(query.terms)
 
     def test_top_k_zero_returns_empty(self) -> None:
-        ring, __, proc = build_stack(early_termination=True)
-        ranked, __ = run_query(proc, ring, Query("z", (VOCAB[2],)), top_k=0)
-        assert len(ranked) == 0
+        for early in (True, False):
+            ring, __, proc = build_stack(early_termination=early)
+            query = Query("z", (VOCAB[2],))
+            ranked, __ = run_query(proc, ring, query, top_k=0)
+            assert len(ranked) == 0
+            ranked_r, __ = run_reference(proc, ring, query, top_k=0)
+            assert len(ranked_r) == 0
 
     def test_top_k_beyond_candidates_returns_all(self) -> None:
         ring_t, __, proc_t = build_stack(early_termination=True)
-        ring_b, __, proc_b = build_stack(early_termination=False)
+        ring_r, __, proc_r = build_stack(early_termination=False)
         query = Query("wide", (VOCAB[4], VOCAB[11]))
         ranked_t, __ = run_query(proc_t, ring_t, query, top_k=10_000)
-        ranked_b, __ = run_query(proc_b, ring_b, query, top_k=10_000)
-        assert pairs(ranked_t) == pairs(ranked_b)
+        ranked_r, __ = run_reference(proc_r, ring_r, query, top_k=10_000)
+        assert pairs(ranked_t) == pairs(ranked_r)
         assert len(ranked_t) > 0
 
     def test_zero_length_documents_rank_last_identically(self) -> None:
         ring_t, __, proc_t = build_stack(early_termination=True, zero_length_docs=6)
-        ring_b, __, proc_b = build_stack(early_termination=False, zero_length_docs=6)
+        ring_r, __, proc_r = build_stack(early_termination=False, zero_length_docs=6)
         for term in VOCAB:
             query = Query(f"q-{term}", (term,))
-            ranked_t, __ = run_query(proc_t, ring_t, query, top_k=8)
-            ranked_b, __ = run_query(proc_b, ring_b, query, top_k=8)
-            assert pairs(ranked_t) == pairs(ranked_b)
+            for top_k in (8, None):
+                ranked_t, __ = run_query(proc_t, ring_t, query, top_k=top_k)
+                ranked_r, __ = run_reference(proc_r, ring_r, query, top_k=top_k)
+                assert pairs(ranked_t) == pairs(ranked_r)
 
     def test_unbounded_top_k_skips_the_termination_path(self) -> None:
-        ring, __, proc = build_stack(early_termination=True)
-        ranked, __ = proc.execute(
-            ring.live_ids[0], Query("all", (VOCAB[5],)), top_k=None, cache=False
-        )
-        # top_k=None cannot early-terminate: full candidate set returned.
-        assert len(ranked) > 0
+        ring_t, __, proc_t = build_stack(early_termination=True)
+        ring_r, __, proc_r = build_stack(early_termination=False)
+        query = Query("all", (VOCAB[5], VOCAB[8]))
+        ranked_t, exec_t = run_query(proc_t, ring_t, query, top_k=None)
+        ranked_r, exec_r = run_reference(proc_r, ring_r, query, top_k=None)
+        # top_k=None cannot early-terminate: the full candidate set is
+        # scored and returned, bit for bit the reference's.
+        assert len(ranked_t) > 0
+        assert pairs(ranked_t) == pairs(ranked_r)
+        assert exec_t.candidate_documents == exec_r.candidate_documents
 
 
 class TestBackendEquivalence:
@@ -165,7 +187,8 @@ class TestBackendEquivalence:
             query = Query(f"q{i}", tuple(rng.sample(VOCAB, k)))
             ranked_c, __ = run_query(proc_c, ring_c, query, top_k=7)
             ranked_l, __ = run_query(proc_l, ring_l, query, top_k=7)
-            assert pairs(ranked_c) == pairs(ranked_l)
+            ranked_r, __ = run_reference(proc_l, ring_l, query, top_k=7)
+            assert pairs(ranked_c) == pairs(ranked_l) == pairs(ranked_r)
 
 
 @settings(max_examples=20, deadline=None)
@@ -184,8 +207,8 @@ def test_equivalence_property(
     use_override: bool,
 ) -> None:
     """For any seeded workload — including peer failures and document
-    frequency overrides — the three execution paths return identical
-    documents, scores, and order."""
+    frequency overrides — early termination on and off and the
+    reference return identical documents, scores, and order."""
     rng = random.Random(seed)
     terms = tuple(rng.choice(VOCAB) for __ in range(num_terms))
     override = (
@@ -194,10 +217,9 @@ def test_equivalence_property(
     query = Query("prop", terms)
 
     rankings = []
-    for early, batch in ((True, True), (False, True), (False, False)):
+    for early, run in ((True, run_query), (False, run_query), (False, run_reference)):
         ring, protocol, processor = build_stack(
             early_termination=early,
-            batch=batch,
             override=override,
             seed=seed % 17,
         )
@@ -206,6 +228,6 @@ def test_equivalence_property(
             ring.fail(victim)
             if victim == ring.live_ids[0]:
                 return  # issuer crashed; nothing to compare
-        ranked, __ = run_query(processor, ring, query, top_k=top_k)
+        ranked, __ = run(processor, ring, query, top_k=top_k)
         rankings.append(pairs(ranked))
     assert rankings[0] == rankings[1] == rankings[2]

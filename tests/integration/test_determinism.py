@@ -3,9 +3,11 @@
 Two end-to-end runs with identical seeds — same corpus, same lossy
 transport seed, same churn schedule — must produce identical rankings
 *and* identical transport-trace rollups.  The check runs both with the
-PR-2 performance paths enabled (route cache, incremental repair, batched
-fetch) and with them disabled, so neither mode can quietly grow a
-hidden source of nondeterminism (dict order, unseeded RNG, wall-clock).
+PR-2 performance paths enabled (route cache, incremental repair, the
+production query path) and with them disabled (queries answered by the
+per-term :func:`repro.reference.reference_execute`), so neither mode can
+quietly grow a hidden source of nondeterminism (dict order, unseeded
+RNG, wall-clock).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from repro.corpus.synthetic import SyntheticTrecCorpus
 from repro.dht.churn import ChurnModel
 from repro.dht.replication import ReplicationManager
 from repro.net import build_transport
+from repro.reference import reference_execute
 
 SPRITE_CONFIG = SpriteConfig(
     initial_terms=3,
@@ -60,7 +63,6 @@ def _run(corpus, queries, optimized: bool, churn: bool):
         ),
         transport=transport,
     )
-    system.processor.batch_fetch = optimized
     system.share_corpus()
     half = len(queries) // 2
     system.register_queries(queries[:half])
@@ -73,10 +75,24 @@ def _run(corpus, queries, optimized: bool, churn: bool):
             replication.recover_from_failures()
             replication.replicate_round()
         system.run_learning_iteration()
+
+    def search(query):
+        if optimized:
+            return system.search(query, cache=False)
+        ranked, __ = reference_execute(
+            system.protocol,
+            system._issuer_for(query),
+            query,
+            SPRITE_CONFIG.assumed_corpus_size,
+            top_k=SPRITE_CONFIG.top_k_answers,
+            cache=False,
+        )
+        return ranked
+
     rankings = tuple(
         (
             query.query_id,
-            tuple((entry.doc_id, entry.score) for entry in system.search(query, cache=False)),
+            tuple((entry.doc_id, entry.score) for entry in search(query)),
         )
         for query in queries[half:]
     )

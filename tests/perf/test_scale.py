@@ -110,8 +110,6 @@ class TestValidation:
             ShardedHarness(tiny_config(num_shards=0))
         with pytest.raises(ConfigurationError):
             ShardedHarness(tiny_config(workers=0))
-        with pytest.raises(ConfigurationError):
-            ShardedHarness(tiny_config(kernel="simd"))
 
     def test_named_configs_have_the_tracked_shapes(self) -> None:
         paper = scale_paper_config()

@@ -1,5 +1,5 @@
 """The differential oracle: perf paths, top-k paths, ingest paths,
-store paths, kernel paths, the concurrent runtime, and the centralized
+store paths, the concurrent runtime, ring paths, and the centralized
 baseline."""
 
 from __future__ import annotations
@@ -7,7 +7,6 @@ from __future__ import annotations
 import pytest
 
 from repro.corpus.synthetic import SyntheticTrecCorpus
-from repro.perf.compat import have_numpy
 from repro.sim import DifferentialOracle, FullIndexSystem, write_state_fingerprint
 
 
@@ -37,7 +36,6 @@ class TestPerfPaths:
         assert slow.ring.config.route_cache_size == 0
         assert fast.ring.config.incremental_repair
         assert not slow.ring.config.incremental_repair
-        assert fast.processor.batch_fetch and not slow.processor.batch_fetch
         # everything that affects *results* is identical
         assert fast.config == slow.config
         assert fast.ring.live_ids == slow.ring.live_ids
@@ -87,36 +85,9 @@ class TestIngestPaths:
         assert len(fingerprint["version_rank"]) == len(fingerprint["slots"])
 
 
-class TestKernelPaths:
-    def test_numpy_and_python_rankings_bit_identical(self, oracle) -> None:
-        report = oracle.check_kernel_paths()
-        if have_numpy():
-            assert report.queries_compared > 0
-        else:
-            assert report.queries_compared == 0
-        assert report.ok, [m.detail for m in report.mismatches]
-
-    def test_builders_differ_only_in_kernel_switch(self, oracle) -> None:
-        if not have_numpy():
-            pytest.skip("numpy not installed (perf extra)")
-        fast = oracle._build_kernel_sprite(scoring_kernel="numpy")
-        slow = oracle._build_kernel_sprite(scoring_kernel="python")
-        assert fast.processor.kernel == "numpy"
-        assert slow.processor.kernel == "python"
-        assert fast.ring.live_ids == slow.ring.live_ids
-
-    def test_report_empty_without_numpy(self, oracle, monkeypatch) -> None:
-        import repro.perf.compat as compat
-
-        monkeypatch.setattr(compat, "_NUMPY", False)
-        report = oracle.check_kernel_paths()
-        assert report.queries_compared == 0
-        assert report.ok
-
-
 class TestConcurrentRuntime:
     def test_event_driven_concurrency_one_bit_identical(self, oracle) -> None:
-        """The seventh comparison: the DESIGN.md §15 runtime at
+        """The sixth comparison: the DESIGN.md §15 runtime at
         concurrency 1 must leave rankings AND the quiescent write-state
         fingerprint bit-identical to call-stack execution."""
         report = oracle.check_concurrent_runtime()
@@ -149,7 +120,6 @@ class TestCheckAll:
             "topk-paths",
             "ingest-paths",
             "store-paths",
-            "kernel-paths",
             "concurrent-runtime",
             "ring-paths",
             "centralized-baseline",

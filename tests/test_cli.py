@@ -146,6 +146,13 @@ class TestSearch:
         assert code == 2
         assert "empty" in output
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_non_positive_top_rejected_before_training(self, top) -> None:
+        code, output = run_cli("search", "--small", "--top", top, "bagok")
+        assert code == 2
+        assert output.startswith("error: --top must be >= 1")
+        assert "training" not in output
+
 
 class TestPerf:
     def test_perf_small_prints_throughput(self) -> None:
