@@ -131,10 +131,6 @@ class SpriteConfig:
     query_cache_size: int = 2000           # recent queries kept per indexing peer
     assumed_corpus_size: int = 1_000_000   # the "sufficiently large N"
     top_k_answers: int = 20                # answers returned per query
-    #: Columnar posting storage at indexing peers (False = the retained
-    #: dict-backed legacy slots).  Both backends enumerate postings in
-    #: the same order, so rankings are identical either way.
-    columnar_postings: bool = True
     #: Exact max-score early termination for bounded-top-k queries.
     #: Returned documents, scores, and order are identical to the
     #: exhaustive path — this only skips provably hopeless scoring work.
@@ -144,20 +140,11 @@ class SpriteConfig:
     #: from a cached result changes the *message* profile the cost
     #: figures measure, even though the rankings stay identical.
     result_cache_size: int = 0
-    #: Destination-grouped write path (DESIGN.md §11): publish/unpublish
-    #: and learning polls group terms by responsible indexing peer, pay
-    #: one lookup per *distinct* peer, and ship PUBLISH_BATCH /
-    #: UNPUBLISH_BATCH / POLL_BATCH messages.  False keeps the seed
-    #: per-term path in-tree as the differential oracle (same pattern as
-    #: ``columnar_postings``); resulting index state and rankings are
-    #: identical either way.
-    batched_writes: bool = True
     #: Posting persistence backend (DESIGN.md §12).  ``"memory"`` (the
     #: default) keeps the in-RAM stores above; ``"sqlite"`` moves every
     #: indexing peer's postings into a shared WAL-mode SQLite database
     #: behind the same slot interface.  Rankings, slot versions, and
-    #: write-state fingerprints are bit-identical across backends (the
-    #: same off-switch discipline as ``columnar_postings``).
+    #: write-state fingerprints are bit-identical across backends.
     store_backend: str = "memory"
     #: Directory for the SQLite database and (by default) snapshots.
     #: Empty string means a self-cleaning temporary directory.
@@ -231,15 +218,16 @@ class SpriteConfig:
 
 @dataclass(frozen=True)
 class ESearchConfig:
-    """Basic-eSearch baseline parameters (static top-k frequent terms)."""
+    """Basic-eSearch baseline parameters (static top-k frequent terms).
+
+    The baseline shares SPRITE's write path; the cost comparison holds
+    the wire protocol fixed across systems by giving each one the
+    per-term reference owner (:class:`repro.reference.PerTermOwner`).
+    """
 
     index_terms: int = 20
     assumed_corpus_size: int = 1_000_000
     top_k_answers: int = 20
-    #: Same write-path switch as :attr:`SpriteConfig.batched_writes`,
-    #: threaded through so cost experiments can hold the wire protocol
-    #: fixed across the compared systems.
-    batched_writes: bool = True
 
     def __post_init__(self) -> None:
         _require(self.index_terms >= 1, "index_terms must be >= 1")

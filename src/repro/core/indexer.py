@@ -104,9 +104,6 @@ class IndexingProtocol:
     query_cache_size:
         Capacity of each term slot's recent-query cache (Section 3:
         indexing peers keep only the most recent queries).
-    columnar_postings:
-        Backend for newly created term slots: the columnar store
-        (default) or the retained legacy dict store.
     result_cache_size:
         Capacity of each indexing peer's query-result cache; 0 disables
         result caching entirely (no probe/store traffic).
@@ -120,13 +117,11 @@ class IndexingProtocol:
         self,
         ring: ChordRing,
         query_cache_size: int = 2000,
-        columnar_postings: bool = True,
         result_cache_size: int = 0,
         store_runtime=None,
     ) -> None:
         self.ring = ring
         self.query_cache_size = query_cache_size
-        self.columnar_postings = columnar_postings
         self.result_cache_size = result_cache_size
         self.store_runtime = store_runtime
         self._result_caches: Dict[int, QueryResultCache] = {}
@@ -168,7 +163,6 @@ class IndexingProtocol:
             slot = TermSlot(
                 term=term,
                 cache=QueryCache(self.query_cache_size),
-                columnar=self.columnar_postings,
                 store=store,
             )
             node.put(key, slot)

@@ -22,7 +22,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from ..ir.postings import ColumnarPostings, ImpactRow, LegacyPostings
+from ..ir.postings import ColumnarPostings, ImpactRow
 from ..ir.ranking import RankedList
 
 
@@ -138,12 +138,13 @@ class TermSlot:
     plus the query cache.  Stored under the term's ring hash in the DHT,
     so replication and key migration move it as a unit.
 
-    Postings live in a pluggable column store (:mod:`repro.ir.postings`):
-    the columnar backend by default, the retained dict-backed legacy
-    backend when ``columnar=False``.  Both enumerate postings in
-    identical (insertion) order and maintain the slot aggregates the
-    optimized query path consumes — indexed document frequency, the
-    max-impact upper bound, and a globally-unique content *version*
+    Postings live in a column store: :class:`~repro.ir.postings.ColumnarPostings`
+    unless *store* supplies another object with the same interface (the
+    SQLite backend of :mod:`repro.store`, or the dict-backed
+    :class:`repro.reference.LegacyPostings` in tests).  Every store
+    enumerates postings in insertion order and maintains the slot
+    aggregates the query path consumes — indexed document frequency,
+    the max-impact upper bound, and a globally-unique content *version*
     bumped on every publish/unpublish (the query-result cache's
     invalidation signal).
 
@@ -156,19 +157,12 @@ class TermSlot:
         self,
         term: str,
         cache: Optional[QueryCache] = None,
-        columnar: bool = True,
         doc_table=None,
         store=None,
     ) -> None:
         self.term = term
         self.cache = cache if cache is not None else QueryCache(capacity=2000)
-        # An explicit store (e.g. repro.store's SQLite backend) overrides
-        # the columnar/legacy switch; any object honouring the posting
-        # -store contract of repro.ir.postings works.
-        if store is not None:
-            self._store = store
-        else:
-            self._store = ColumnarPostings(doc_table) if columnar else LegacyPostings()
+        self._store = store if store is not None else ColumnarPostings(doc_table)
         self._view_version = -1
         self._entries_view: List[PostingEntry] = []
         self._inverted_view: Dict[str, PostingEntry] = {}
@@ -192,11 +186,6 @@ class TermSlot:
     def max_impact(self) -> float:
         """Upper bound on any posting's ``ntf / sqrt(len)`` impact."""
         return self._store.max_impact
-
-    @property
-    def columnar(self) -> bool:
-        """Whether the columnar backend is in use."""
-        return isinstance(self._store, ColumnarPostings)
 
     # -- mutation -----------------------------------------------------------
 

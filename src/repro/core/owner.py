@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Container, Dict, List, Sequence, Set, Tuple
 
 from ..config import SpriteConfig
 from ..perf import PROFILE
@@ -41,6 +41,19 @@ class SharedDocument:
     #: term → last cache sequence seen at that term's indexing peer.
     poll_cursors: Dict[str, int] = field(default_factory=dict)
     learning_iterations_run: int = 0
+
+
+def check_new_documents(doc_ids: Sequence[str], shared: Container[str]) -> None:
+    """Reject a bulk share before it mutates anything: every id must be
+    absent from *shared* and appear once in the batch."""
+    for doc_id in doc_ids:
+        if doc_id in shared:
+            raise LearningError(f"document already shared: {doc_id!r}")
+    seen: Set[str] = set()
+    for doc_id in doc_ids:
+        if doc_id in seen:
+            raise LearningError(f"duplicate document in bulk share: {doc_id!r}")
+        seen.add(doc_id)
 
 
 class OwnerPeer:
@@ -75,8 +88,16 @@ class OwnerPeer:
         """Share a document: select initial terms (top-F frequency,
         Section 5.2, unless the user supplies their own) and publish
         them into the distributed index."""
-        if document.doc_id in self.shared:
-            raise LearningError(f"document already shared: {document.doc_id!r}")
+        check_new_documents([document.doc_id], self.shared)
+        state, terms = self._register(document, first_terms)
+        self._publish_terms(state, terms)
+        return state
+
+    def _register(
+        self, document: Document, first_terms: Sequence[str] | None
+    ) -> Tuple[SharedDocument, List[str]]:
+        """Record a fresh :class:`SharedDocument` and return it with the
+        initial terms the caller publishes."""
         terms = (
             list(first_terms)
             if first_terms is not None
@@ -88,8 +109,7 @@ class OwnerPeer:
             learner=IncrementalLearner(document, scorer=self.scorer),
         )
         self.shared[document.doc_id] = state
-        self._publish_terms(state, terms)
-        return state
+        return state, terms
 
     def unshare(self, doc_id: str) -> None:
         """Withdraw a document: unpublish every global index term."""
@@ -104,51 +124,17 @@ class OwnerPeer:
     ) -> List[SharedDocument]:
         """Share many documents at once.
 
-        On the batched write path the initial publications of the whole
-        batch are destination-grouped into *one*
+        The initial publications of the whole batch are
+        destination-grouped into *one*
         :meth:`~repro.core.indexer.IndexingProtocol.publish_batch` call,
         so a lookup is paid per distinct indexing peer across the entire
-        corpus slice rather than per (document, term) pair — the bulk
-        ingest the ROADMAP's "millions of users" north star needs.  With
-        ``batched_writes=False`` this is exactly a loop of
-        :meth:`share`.
+        corpus slice rather than per (document, term) pair.  A batch
+        holding a duplicate or an already-shared document is rejected
+        before anything is registered or published.
         """
-        for document in documents:
-            if document.doc_id in self.shared:
-                raise LearningError(
-                    f"document already shared: {document.doc_id!r}"
-                )
-        plans: List[Tuple[SharedDocument, List[str]]] = []
-        seen: Set[str] = set()
-        for document in documents:
-            if document.doc_id in seen:
-                raise LearningError(
-                    f"duplicate document in bulk share: {document.doc_id!r}"
-                )
-            seen.add(document.doc_id)
-            supplied = (
-                first_terms_of.get(document.doc_id)
-                if first_terms_of is not None
-                else None
-            )
-            terms = (
-                list(supplied)
-                if supplied is not None
-                else initial_terms(document, self.config.initial_terms)
-            )
-            state = SharedDocument(
-                document=document,
-                index_terms=[],
-                learner=IncrementalLearner(document, scorer=self.scorer),
-            )
-            self.shared[document.doc_id] = state
-            plans.append((state, terms))
-
-        if not self._batched_writes:
-            for state, terms in plans:
-                self._publish_terms(state, terms)
-            return [state for state, __ in plans]
-
+        check_new_documents([d.doc_id for d in documents], self.shared)
+        firsts = first_terms_of or {}
+        plans = [self._register(d, firsts.get(d.doc_id)) for d in documents]
         postings: List[Tuple[str, PostingEntry]] = []
         for state, terms in plans:
             for term in dict.fromkeys(terms):
@@ -169,14 +155,8 @@ class OwnerPeer:
         """Withdraw many documents at once, destination-grouping all
         their removals into one
         :meth:`~repro.core.indexer.IndexingProtocol.unpublish_batch`
-        call on the batched path."""
-        if len(set(doc_ids)) != len(doc_ids):
-            raise LearningError("duplicate document id in bulk unshare")
-        states = [self._state(doc_id) for doc_id in doc_ids]
-        if not self._batched_writes:
-            for doc_id in doc_ids:
-                self.unshare(doc_id)
-            return
+        call."""
+        states = self._bulk_states(doc_ids)
         removals: List[Tuple[str, str]] = []
         for state in states:
             for term in state.index_terms:
@@ -184,6 +164,13 @@ class OwnerPeer:
         self.protocol.unpublish_batch(self.node_id, removals)
         for doc_id in doc_ids:
             del self.shared[doc_id]
+
+    def _bulk_states(self, doc_ids: Sequence[str]) -> List[SharedDocument]:
+        """The states of a bulk withdrawal, validated before any
+        message is sent."""
+        if len(set(doc_ids)) != len(doc_ids):
+            raise LearningError("duplicate document id in bulk unshare")
+        return [self._state(doc_id) for doc_id in doc_ids]
 
     def _state(self, doc_id: str) -> SharedDocument:
         try:
@@ -199,36 +186,16 @@ class OwnerPeer:
             doc_length=document.length,
         )
 
-    @property
-    def _batched_writes(self) -> bool:
-        return getattr(self.config, "batched_writes", True)
-
     def _publish_terms(self, state: SharedDocument, terms: Sequence[str]) -> None:
-        if self._batched_writes:
-            fresh = [
-                t for t in dict.fromkeys(terms) if t not in state.index_terms
-            ]
-            if not fresh:
-                return
-            published, __ = self.protocol.publish_batch(
-                self.node_id,
-                [(t, self._posting_for(state.document, t)) for t in fresh],
-            )
-            for term in fresh:
-                if term not in published:
-                    continue
-                state.index_terms.append(term)
-                if term not in state.poll_cursors:
-                    state.poll_cursors[term] = -1
+        fresh = [t for t in dict.fromkeys(terms) if t not in state.index_terms]
+        if not fresh:
             return
-        for term in terms:
-            if term in state.index_terms:
-                continue
-            try:
-                self.protocol.publish(
-                    self.node_id, term, self._posting_for(state.document, term)
-                )
-            except NodeFailedError:
+        published, __ = self.protocol.publish_batch(
+            self.node_id,
+            [(t, self._posting_for(state.document, t)) for t in fresh],
+        )
+        for term in fresh:
+            if term not in published:
                 continue
             state.index_terms.append(term)
             if term not in state.poll_cursors:
@@ -256,29 +223,15 @@ class OwnerPeer:
         return True
 
     def _unpublish_terms(self, state: SharedDocument, terms: Sequence[str]) -> None:
-        if self._batched_writes:
-            present = [
-                t for t in dict.fromkeys(terms) if t in state.index_terms
-            ]
-            if not present:
-                return
-            self.protocol.unpublish_batch(
-                self.node_id,
-                [(t, state.document.doc_id) for t in present],
-            )
-            # Like the per-term path, the owner forgets the term whether
-            # or not the destination peer was reachable.
-            for term in present:
-                state.index_terms.remove(term)
-                state.poll_cursors.pop(term, None)
+        present = [t for t in dict.fromkeys(terms) if t in state.index_terms]
+        if not present:
             return
-        for term in terms:
-            if term not in state.index_terms:
-                continue
-            try:
-                self.protocol.unpublish(self.node_id, term, state.document.doc_id)
-            except NodeFailedError:
-                pass
+        self.protocol.unpublish_batch(
+            self.node_id, [(t, state.document.doc_id) for t in present]
+        )
+        # The owner forgets the term whether or not the destination
+        # peer was reachable.
+        for term in present:
             state.index_terms.remove(term)
             state.poll_cursors.pop(term, None)
 
@@ -290,30 +243,17 @@ class OwnerPeer:
         query comes back at most once per poll."""
         state = self._state(doc_id)
         hashes = {t: self.protocol.term_hash(t) for t in state.index_terms}
+        pairs = [
+            (term, state.poll_cursors.get(term, -1)) for term in state.index_terms
+        ]
+        results, __ = self.protocol.poll_batch(self.node_id, pairs, hashes)
+        # Reassemble in index-term order so the observed query stream
+        # is the one a term-by-term poll would see.
         collected: List[Tuple[str, ...]] = []
-        if self._batched_writes:
-            pairs = [
-                (term, state.poll_cursors.get(term, -1))
-                for term in state.index_terms
-            ]
-            results, __ = self.protocol.poll_batch(self.node_id, pairs, hashes)
-            # Reassemble in index-term order so the observed query
-            # stream is byte-identical to the per-term loop's.
-            for term in list(state.index_terms):
-                if term not in results:
-                    continue  # unreachable peer: cursor untouched
-                fresh, latest = results[term]
-                state.poll_cursors[term] = latest
-                collected.extend(c.terms for c in fresh)
-            return collected
         for term in list(state.index_terms):
-            since = state.poll_cursors.get(term, -1)
-            try:
-                fresh, latest = self.protocol.poll_term(
-                    self.node_id, term, hashes, since
-                )
-            except NodeFailedError:
-                continue
+            if term not in results:
+                continue  # unreachable peer: cursor untouched
+            fresh, latest = results[term]
             state.poll_cursors[term] = latest
             collected.extend(c.terms for c in fresh)
         return collected

@@ -21,12 +21,16 @@ from ..exceptions import LearningError
 from ..ir.ranking import RankedList
 from ..store import build_store_runtime
 from .indexer import IndexingProtocol
-from .owner import OwnerPeer, SharedDocument
+from .owner import OwnerPeer, SharedDocument, check_new_documents
 from .query_processing import QueryExecution, QueryProcessor
 
 
 class DistributedSystem:
     """Common machinery for DHT-based retrieval systems.
+
+    Owner peers are instances of the class attribute :attr:`owner_type`;
+    the reference model (:mod:`repro.reference`) subclasses the system
+    to substitute its per-term owner.
 
     Parameters
     ----------
@@ -67,9 +71,9 @@ class DistributedSystem:
             ring
             if ring is not None
             else build_ring(
-                getattr(self.config, "ring", "chord"),
+                self.config.ring,
                 chord_config,
-                arity=getattr(self.config, "ring_arity", 2),
+                arity=self.config.ring_arity,
                 transport=transport,
             )
         )
@@ -79,19 +83,20 @@ class DistributedSystem:
         self.protocol = IndexingProtocol(
             self.ring,
             query_cache_size=self.config.query_cache_size,
-            columnar_postings=getattr(self.config, "columnar_postings", True),
-            result_cache_size=getattr(self.config, "result_cache_size", 0),
+            result_cache_size=self.config.result_cache_size,
             store_runtime=self.store_runtime,
         )
         self.processor = QueryProcessor(
             self.protocol,
             assumed_corpus_size=self.config.assumed_corpus_size,
-            early_termination=getattr(self.config, "early_termination", True),
-            result_cache=getattr(self.config, "result_cache_size", 0) > 0,
+            early_termination=self.config.early_termination,
+            result_cache=self.config.result_cache_size > 0,
         )
         self.owners: Dict[int, OwnerPeer] = {}
         self._doc_owner: Dict[str, int] = {}
         self._shared = False
+
+    owner_type = OwnerPeer
 
     # -- ownership assignment ------------------------------------------------
 
@@ -100,6 +105,16 @@ class DistributedSystem:
         hashing its id onto the ring (documents live where their users
         are; any stable assignment works)."""
         return self.ring.successor_of(self.ring.space.hash_key(f"owner:{doc_id}"))
+
+    def _owner_at(self, node_id: int) -> OwnerPeer:
+        """The owner peer at *node_id*, created on first use."""
+        owner = self.owners.get(node_id)
+        if owner is None:
+            owner = self.owner_type(
+                node_id, self.protocol, self.config, scorer=self.scorer
+            )
+            self.owners[node_id] = owner
+        return owner
 
     def owner_of(self, doc_id: str) -> OwnerPeer:
         """The owner peer responsible for *doc_id*."""
@@ -122,10 +137,7 @@ class DistributedSystem:
         DHT.  Returns the owner peer.  Used by :meth:`share_corpus` and
         by the scenario engine's incremental ``publish`` events."""
         node_id = self._owner_node_for(doc.doc_id)
-        owner = self.owners.get(node_id)
-        if owner is None:
-            owner = OwnerPeer(node_id, self.protocol, self.config, scorer=self.scorer)
-            self.owners[node_id] = owner
+        owner = self._owner_at(node_id)
         if first_terms is None:
             first_terms = self._first_terms(doc.doc_id)
         owner.share(doc, first_terms=first_terms)
@@ -147,25 +159,23 @@ class DistributedSystem:
         """Share many documents at once (default: every not-yet-shared
         corpus document), grouping them by their assigned owner peer and
         letting each owner ingest its slice through
-        :meth:`~repro.core.owner.OwnerPeer.share_bulk` — on the batched
-        write path one destination-grouped publish per owner covers the
-        owner's whole slice.  Returns the number of documents shared.
+        :meth:`~repro.core.owner.OwnerPeer.share_bulk` — one
+        destination-grouped publish per owner covers the owner's whole
+        slice.  A batch holding a duplicate or an already-shared
+        document is rejected before any owner publishes.  Returns the
+        number of documents shared.
         """
         if documents is None:
             documents = [
                 doc for doc in self.corpus if doc.doc_id not in self._doc_owner
             ]
+        check_new_documents([doc.doc_id for doc in documents], self._doc_owner)
         by_owner: Dict[int, List] = {}
         for doc in documents:
             by_owner.setdefault(self._owner_node_for(doc.doc_id), []).append(doc)
         total = 0
         for node_id, docs in by_owner.items():
-            owner = self.owners.get(node_id)
-            if owner is None:
-                owner = OwnerPeer(
-                    node_id, self.protocol, self.config, scorer=self.scorer
-                )
-                self.owners[node_id] = owner
+            owner = self._owner_at(node_id)
             firsts = {}
             for doc in docs:
                 supplied = self._first_terms(doc.doc_id)

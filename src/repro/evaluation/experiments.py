@@ -16,7 +16,7 @@ print the rows; examples reuse them too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Literal, Optional, Sequence
 
 from ..config import ESearchConfig, SpriteConfig
@@ -27,6 +27,7 @@ from ..dht.messages import MessageKind
 from ..net import build_transport
 from ..ir.ranking import RankedList
 from ..perf import PROFILE
+from ..reference import PerTermOwner, PerTermSpriteSystem
 from .experiment import Environment
 from .metrics import RelativeResult, relative_to_centralized
 
@@ -317,11 +318,12 @@ def run_cost_comparison(env: Environment) -> List[CostRow]:
     (b) eSearch's static top-20, and (c) indexing *every* unique term —
     the infeasible strawman the introduction argues against.
 
-    All three systems run the paper's per-term publication protocol
-    (``batched_writes=False``): the figure compares term-*selection*
-    policies under the Section 1 cost model, where every published
-    (doc, term) pair is one message.  The batched write path's savings
-    are measured separately by the ingest benchmark (DESIGN.md §11).
+    All three systems use the per-term reference owner
+    (:class:`repro.reference.PerTermOwner`) because the figure models
+    the paper's Section 1 cost, where every published (doc, term) pair
+    is one message: it compares term-*selection* policies, not wire
+    batching.  The batched write path's savings are measured
+    separately by the ingest benchmark (DESIGN.md §11).
     """
     rows: List[CostRow] = []
     n_docs = len(env.corpus)
@@ -338,29 +340,38 @@ def run_cost_comparison(env: Environment) -> List[CostRow]:
             messages_per_document=publish.messages / n_docs,
         )
 
-    sprite = build_trained_sprite(
-        env, sprite_config=replace(env.config.sprite, batched_writes=False)
+    # The Section 6.2 pipeline of build_trained_sprite, on per-term owners.
+    sprite = PerTermSpriteSystem(
+        env.corpus,
+        sprite_config=env.config.sprite,
+        chord_config=env.config.chord,
+        transport=build_transport(env.config.network),
     )
+    sprite.share_corpus()
+    sprite.register_queries(list(env.train.queries))
+    sprite.run_learning()
     rows.append(measure(sprite, "sprite"))
 
-    legacy_esearch = replace(env.config.esearch, batched_writes=False)
-    esearch = ESearchSystem(
+    class _PerTermESearch(ESearchSystem):
+        owner_type = PerTermOwner
+
+    esearch = _PerTermESearch(
         env.corpus,
-        esearch_config=legacy_esearch,
+        esearch_config=env.config.esearch,
         chord_config=env.config.chord,
         transport=build_transport(env.config.network),
     )
     esearch.share_corpus()
     rows.append(measure(esearch, "esearch"))
 
-    class _IndexEverything(ESearchSystem):
+    class _IndexEverything(_PerTermESearch):
         def _first_terms(self, doc_id: str):
             doc = self.corpus.get(doc_id)
             return doc.top_terms(doc.unique_terms)
 
     everything = _IndexEverything(
         env.corpus,
-        esearch_config=legacy_esearch,
+        esearch_config=env.config.esearch,
         chord_config=env.config.chord,
     )
     everything.share_corpus()

@@ -31,12 +31,11 @@ aggregates the query processor's early-termination path needs:
 
 Column order mirrors dict semantics exactly — insertion order, in-place
 overwrite keeps a posting's position, removal shifts the tail — so a
-columnar slot and a legacy dict slot enumerate postings identically and
-the two backends produce bit-identical score accumulation order.
-
-:class:`LegacyPostings` is the retained reference backend with the same
-interface; differential tests run both.  This module must not import
-:mod:`repro.core` (the slot layer converts rows to ``PostingEntry``).
+columnar slot and the dict-backed reference store
+(:class:`repro.reference.LegacyPostings`) enumerate postings identically
+and produce bit-identical score accumulation order; differential tests
+run both.  This module must not import :mod:`repro.core` (the slot layer
+converts rows to ``PostingEntry``).
 """
 
 from __future__ import annotations
@@ -244,74 +243,6 @@ class ColumnarPostings:
         rows = [
             (docs.doc_id(self._doc_index[i]), self._ntf[i], self._length[i], self._impact[i])
             for i in range(len(self._doc_index))
-        ]
-        rows.sort(key=lambda r: (-r[3], r[0]))
-        return rows
-
-
-class LegacyPostings:
-    """The seed dict-of-rows posting store, retained as the reference
-    backend: same interface as :class:`ColumnarPostings`, with the slot
-    aggregates computed on demand instead of incrementally."""
-
-    def __init__(self) -> None:
-        self._rows: Dict[str, Tuple[int, int, int]] = {}
-        self._version = next_version()
-
-    @property
-    def version(self) -> int:
-        return self._version
-
-    @property
-    def max_impact(self) -> float:
-        return max(
-            (posting_impact(tf, length) for __, tf, length in self._rows.values()),
-            default=0.0,
-        )
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._rows
-
-    def add(self, doc_id: str, owner_peer: int, raw_tf: int, doc_length: int) -> None:
-        self._rows[doc_id] = (owner_peer, raw_tf, doc_length)
-        self._version = next_version()
-
-    def remove(self, doc_id: str) -> Optional[PostingRow]:
-        row = self._rows.pop(doc_id, None)
-        if row is None:
-            return None
-        self._version = next_version()
-        return (doc_id, row[0], row[1], row[2])
-
-    def lookup(self, doc_id: str) -> Optional[PostingRow]:
-        row = self._rows.get(doc_id)
-        if row is None:
-            return None
-        return (doc_id, row[0], row[1], row[2])
-
-    def scoring_lookup(self, doc_id: str) -> Optional[Tuple[float, int]]:
-        row = self._rows.get(doc_id)
-        if row is None:
-            return None
-        __, tf, length = row
-        return (tf / length if length > 0 else 0.0, length)
-
-    def rows(self) -> Iterator[PostingRow]:
-        for doc_id, (owner, tf, length) in self._rows.items():
-            yield (doc_id, owner, tf, length)
-
-    def impact_rows(self) -> List[ImpactRow]:
-        rows = [
-            (
-                doc_id,
-                tf / length if length > 0 else 0.0,
-                length if length > 0 else 0,
-                posting_impact(tf, length),
-            )
-            for doc_id, (__, tf, length) in self._rows.items()
         ]
         rows.sort(key=lambda r: (-r[3], r[0]))
         return rows

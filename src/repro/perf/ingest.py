@@ -13,8 +13,9 @@ millions-of-users north star implies.
 :class:`IngestWorkloadResult` with phase timings, build / re-publish
 throughput, write-path message accounting, stemmer cache statistics,
 and a **ranking checksum** over a fixed evaluation query set.  Running
-the workload with ``batched=False`` (the seed per-term write path) must
-produce the *same checksum* — batching changes message grouping and
+the workload with ``batched=False`` — owners are the per-term reference
+:class:`repro.reference.PerTermOwner`, the seed write path — must
+produce the *same checksum*: batching changes message grouping and
 speed, never state.  ``benchmarks/test_bench_ingest.py`` asserts
 exactly that while recording before/after numbers into
 ``BENCH_INGEST.json``.
@@ -35,6 +36,7 @@ from ..core.query_processing import QueryProcessor
 from ..corpus.document import Document
 from ..corpus.relevance import Query
 from ..dht.ring import ChordRing
+from ..reference import PerTermOwner
 from ..text.analyzer import Analyzer
 from .profile import PROFILE
 
@@ -71,6 +73,9 @@ class IngestWorkloadConfig:
     ring_churn_every: int = 5
     zipf_exponent: float = 0.8
     seed: int = 4111
+    #: Destination-grouped owners (:class:`~repro.core.owner.OwnerPeer`);
+    #: False runs the per-term reference owner instead (the ``legacy``
+    #: and ``per_term`` comparison arms).
     batched: bool = True
     #: Route caching on the ring (PR 2).  The ``legacy`` comparison arm
     #: turns it off to reproduce the seed write path end to end, the
@@ -140,10 +145,10 @@ class IngestComparison:
     """Measured outcome of one three-arm write-path comparison.
 
     Mirrors the ``BENCH_TOPK.json`` convention: ``legacy`` is the seed
-    execution path end to end (per-term publishes, no route cache) —
-    the acceptance baseline — while ``per_term`` isolates this PR's
-    incremental win by running per-term writes over the already
-    route-cached ring.
+    execution path end to end (per-term reference owners, no route
+    cache) — the acceptance baseline — while ``per_term`` isolates the
+    win of destination grouping by running the per-term reference
+    owners over the already route-cached ring.
     """
 
     legacy: IngestWorkloadResult
@@ -229,11 +234,11 @@ def _run(cfg: IngestWorkloadConfig) -> IngestWorkloadResult:
         max_index_terms=cfg.initial_terms + 4,
         query_cache_size=500,
         assumed_corpus_size=cfg.num_documents,
-        batched_writes=cfg.batched,
     )
     protocol = IndexingProtocol(ring, query_cache_size=500)
     owner_ids = rng.sample(ring.live_ids, cfg.num_ingest_peers)
-    owners = [OwnerPeer(node_id, protocol, sprite) for node_id in owner_ids]
+    owner_type = OwnerPeer if cfg.batched else PerTermOwner
+    owners = [owner_type(node_id, protocol, sprite) for node_id in owner_ids]
     slice_of: Dict[int, List[Document]] = {i: [] for i in range(len(owners))}
     owner_index_of: Dict[str, int] = {}
     for d, doc in enumerate(docs):

@@ -1,23 +1,39 @@
-"""Reference query execution (paper Section 4, computed the plain way).
+"""Reference models: the plain computations production is held to.
 
-:func:`reference_execute` is the original per-term-fetch, nested-dict
-query computation: one SEARCH_TERM / POSTINGS message pair per term,
-per-document weight dicts, and :func:`~repro.ir.similarity.lee_similarity`
-over every candidate.  It is not a production path.  It exists to check
-:class:`~repro.core.query_processing.QueryProcessor`, which must return
-bit-identical documents, scores and tie-broken order: the equivalence
-tests and the oracle's perf-paths comparison hold the two to that, and
-the perf benchmark's baseline arm measures it as the "before" number.
+None of these is a production path.  Each keeps the seed's direct
+semantics so the equivalence tests, the differential oracle and the
+benchmarks' "before" arms can check the optimized path against it, bit
+for bit:
+
+* :func:`reference_execute` — per-term-fetch, nested-dict query
+  execution (paper Section 4): one SEARCH_TERM / POSTINGS pair per term
+  and :func:`~repro.ir.similarity.lee_similarity` over every candidate.
+  Checks :class:`~repro.core.query_processing.QueryProcessor`.
+* :class:`PerTermOwner` — the owner write path of paper Sections 1 and
+  3: one message per (document, term) pair and one poll per index
+  term.  Checks :class:`~repro.core.owner.OwnerPeer` through
+  :func:`~repro.sim.oracle.write_state_fingerprint`;
+  :class:`PerTermSpriteSystem` is a SPRITE system built with it.
+* :class:`LegacyPostings` — the dict-of-rows posting store.  Checks
+  :class:`~repro.ir.postings.ColumnarPostings`; slots get it through
+  ``IndexingProtocol(store_runtime=)`` and any object whose
+  ``new_postings(peer_id)`` returns one.
+
+:mod:`repro.core` must not import this module.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .core.indexer import IndexingProtocol
+from .core.owner import OwnerPeer, SharedDocument, check_new_documents
 from .core.query_processing import QueryExecution
+from .core.system import SpriteSystem
+from .corpus.document import Document
 from .corpus.relevance import Query
 from .exceptions import NodeFailedError
+from .ir.postings import ImpactRow, PostingRow, next_version, posting_impact
 from .ir.ranking import RankedList
 from .ir.similarity import lee_similarity
 from .ir.weighting import TfIdfWeighting
@@ -80,3 +96,144 @@ def reference_execute(
         RankedList.top_k(scores, top_k) if top_k is not None else RankedList(scores)
     )
     return ranked, execution
+
+
+class PerTermOwner(OwnerPeer):
+    """The seed owner write path: one message per (document, term).
+
+    Shares, withdrawals and learning polls go term by term through
+    :meth:`~repro.core.indexer.IndexingProtocol.publish`,
+    :meth:`~repro.core.indexer.IndexingProtocol.unpublish` and
+    :meth:`~repro.core.indexer.IndexingProtocol.poll_term`; a term whose
+    indexing peer is unreachable is skipped (Section 7).
+    """
+
+    def share_bulk(
+        self,
+        documents: Sequence[Document],
+        first_terms_of: Dict[str, Sequence[str]] | None = None,
+    ) -> List[SharedDocument]:
+        check_new_documents([d.doc_id for d in documents], self.shared)
+        firsts = first_terms_of or {}
+        return [self.share(d, firsts.get(d.doc_id)) for d in documents]
+
+    def unshare_bulk(self, doc_ids: Sequence[str]) -> None:
+        self._bulk_states(doc_ids)
+        for doc_id in doc_ids:
+            self.unshare(doc_id)
+
+    def _publish_terms(self, state: SharedDocument, terms: Sequence[str]) -> None:
+        for term in terms:
+            if term in state.index_terms:
+                continue
+            try:
+                self.protocol.publish(
+                    self.node_id, term, self._posting_for(state.document, term)
+                )
+            except NodeFailedError:
+                continue
+            state.index_terms.append(term)
+            if term not in state.poll_cursors:
+                state.poll_cursors[term] = -1
+
+    def _unpublish_terms(self, state: SharedDocument, terms: Sequence[str]) -> None:
+        for term in terms:
+            if term not in state.index_terms:
+                continue
+            try:
+                self.protocol.unpublish(self.node_id, term, state.document.doc_id)
+            except NodeFailedError:
+                pass
+            state.index_terms.remove(term)
+            state.poll_cursors.pop(term, None)
+
+    def poll_queries(self, doc_id: str) -> List[Tuple[str, ...]]:
+        state = self._state(doc_id)
+        hashes = {t: self.protocol.term_hash(t) for t in state.index_terms}
+        collected: List[Tuple[str, ...]] = []
+        for term in list(state.index_terms):
+            since = state.poll_cursors.get(term, -1)
+            try:
+                fresh, latest = self.protocol.poll_term(
+                    self.node_id, term, hashes, since
+                )
+            except NodeFailedError:
+                continue
+            state.poll_cursors[term] = latest
+            collected.extend(c.terms for c in fresh)
+        return collected
+
+
+class PerTermSpriteSystem(SpriteSystem):
+    """:class:`~repro.core.system.SpriteSystem` whose owners publish
+    term by term (:class:`PerTermOwner`)."""
+
+    owner_type = PerTermOwner
+
+
+class LegacyPostings:
+    """The seed dict-of-rows posting store: same interface as
+    :class:`~repro.ir.postings.ColumnarPostings`, with the slot
+    aggregates computed on demand instead of incrementally."""
+
+    def __init__(self) -> None:
+        self._rows: Dict[str, Tuple[int, int, int]] = {}
+        self._version = next_version()
+
+    @property
+    def version(self) -> int:
+        return self._version
+
+    @property
+    def max_impact(self) -> float:
+        return max(
+            (posting_impact(tf, length) for __, tf, length in self._rows.values()),
+            default=0.0,
+        )
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __contains__(self, doc_id: str) -> bool:
+        return doc_id in self._rows
+
+    def add(self, doc_id: str, owner_peer: int, raw_tf: int, doc_length: int) -> None:
+        self._rows[doc_id] = (owner_peer, raw_tf, doc_length)
+        self._version = next_version()
+
+    def remove(self, doc_id: str) -> Optional[PostingRow]:
+        row = self._rows.pop(doc_id, None)
+        if row is None:
+            return None
+        self._version = next_version()
+        return (doc_id, row[0], row[1], row[2])
+
+    def lookup(self, doc_id: str) -> Optional[PostingRow]:
+        row = self._rows.get(doc_id)
+        if row is None:
+            return None
+        return (doc_id, row[0], row[1], row[2])
+
+    def scoring_lookup(self, doc_id: str) -> Optional[Tuple[float, int]]:
+        row = self._rows.get(doc_id)
+        if row is None:
+            return None
+        __, tf, length = row
+        return (tf / length if length > 0 else 0.0, length)
+
+    def rows(self) -> Iterator[PostingRow]:
+        for doc_id, (owner, tf, length) in self._rows.items():
+            yield (doc_id, owner, tf, length)
+
+    def impact_rows(self) -> List[ImpactRow]:
+        rows = [
+            (
+                doc_id,
+                tf / length if length > 0 else 0.0,
+                length if length > 0 else 0,
+                posting_impact(tf, length),
+            )
+            for doc_id, (__, tf, length) in self._rows.items()
+        ]
+        rows.sort(key=lambda r: (-r[3], r[0]))
+        return rows

@@ -23,24 +23,27 @@ Seven comparisons, all on a churn-free ring:
   second round is served from the result caches, which must still be
   bit-identical.
 
-* **Ingest-path equivalence** — the ISSUE 5 batched write path
+* **Ingest-path equivalence** — the batched write path
   (destination-grouped bulk publish/unpublish, coalesced learning
   polls) must leave the *entire write-visible state* of the system
-  bit-identical to the per-term path: every slot's postings,
+  bit-identical to the per-term reference owner
+  :class:`repro.reference.PerTermOwner`: every slot's postings,
   aggregates, and query-cache cursor position, the global order in
   which slot versions were assigned, and every owner's index terms,
   poll cursors, and learner statistics.  The oracle replays a full
   bulk-ingest flow — bulk share, training registration, learning,
-  then a withdraw/re-share churn cycle — through a batched and a
-  legacy system and compares :func:`write_state_fingerprint` plus
+  then a withdraw/re-share churn cycle — through a
+  :class:`~repro.core.system.SpriteSystem` and a
+  :class:`~repro.reference.PerTermSpriteSystem` in lockstep and
+  compares :func:`write_state_fingerprint` after every phase plus
   every test-query ranking exactly.
 
 * **Store-path equivalence** — the ISSUE 6 durable store
   (:mod:`repro.store`) is an off-switchable persistence backend, so a
   sqlite-backed system must be *bit-identical* to the in-RAM default
   across the same bulk-ingest flow: the full write-state fingerprint
-  (postings, aggregates, version rank order, owner state) and every
-  test-query ranking, score bits included.  SQLite stores only the
+  (postings, aggregates, version rank order, owner state) after every
+  phase and every test-query ranking, score bits included.  SQLite stores only the
   integer posting columns; every float is recomputed through the same
   expressions the columnar store uses, so there is no tolerance to
   hide behind.
@@ -86,7 +89,7 @@ from ..core.metadata import TermSlot
 from ..core.system import DistributedSystem, SpriteSystem
 from ..ir.centralized import CentralizedSystem
 from ..ir.ranking import RankedList
-from ..reference import reference_execute
+from ..reference import PerTermSpriteSystem, reference_execute
 
 
 def write_state_fingerprint(system: DistributedSystem) -> Dict[str, object]:
@@ -102,8 +105,8 @@ def write_state_fingerprint(system: DistributedSystem) -> Dict[str, object]:
         The slot keys sorted by slot version.  Versions come from one
         process-global counter, so their *absolute* values differ
         between two separately built systems — but the batched path
-        applies mutations in exactly the per-term path's order, so the
-        *rank order* of final slot versions must coincide.
+        applies mutations in exactly the per-term reference's order, so
+        the *rank order* of final slot versions must coincide.
     ``owners``
         Per (owner peer, shared document): index terms in selection
         order, poll cursors, iterations run, the learner's raw
@@ -223,7 +226,6 @@ class DifferentialOracle:
         self,
         early_termination: bool = True,
         result_cache_size: int = 0,
-        batched_writes: bool = True,
         store_backend: str = "memory",
     ) -> SpriteConfig:
         return SpriteConfig(
@@ -236,7 +238,6 @@ class DifferentialOracle:
             top_k_answers=self.top_k,
             early_termination=early_termination,
             result_cache_size=result_cache_size,
-            batched_writes=batched_writes,
             store_backend=store_backend,
         )
 
@@ -377,57 +378,89 @@ class DifferentialOracle:
     def check_ingest_paths(self) -> OracleReport:
         """Replay a bulk-ingest flow — bulk share, training
         registration, learning, then withdrawing and re-sharing a fifth
-        of the corpus — through a batched-writes and a per-term system;
-        the full write-state fingerprint and every test-query ranking
+        of the corpus — through the production system and one whose
+        owners are the per-term reference
+        (:class:`~repro.reference.PerTermOwner`); the full write-state
+        fingerprint after every phase and every test-query ranking
         must match exactly."""
         report = OracleReport(name="ingest-paths")
-        batched = self._build_ingest_sprite(batched_writes=True)
-        legacy = self._build_ingest_sprite(batched_writes=False)
+        self._compare_ingest_flow(
+            report,
+            ("batched", self._build_ingest_sprite(per_term=False)),
+            ("per-term", self._build_ingest_sprite(per_term=True)),
+            between="the batched and per-term publication paths",
+        )
+        return report
+
+    def _compare_ingest_flow(
+        self,
+        report: OracleReport,
+        first: Tuple[str, SpriteSystem],
+        second: Tuple[str, SpriteSystem],
+        between: str,
+    ) -> None:
+        """Drive two systems through the bulk-ingest flow in lockstep.
+
+        After each phase the :func:`write_state_fingerprint` of the two
+        must agree — checking only the end state would let a later
+        phase overwrite an earlier divergence (the churn phase re-bumps
+        most slot versions) — and afterwards every test query must
+        rank identically."""
+        (first_label, a), (second_label, b) = first, second
         docs = list(self.corpus)
         churn_ids = [
             d.doc_id for d in docs[: max(1, math.ceil(len(docs) / 5))]
         ]
-        for system in (batched, legacy):
-            system.bulk_share()
+
+        def learn(system: SpriteSystem) -> None:
             system.register_queries(self.train)
             system.run_learning()
+
+        def churn(system: SpriteSystem) -> None:
             system.bulk_unshare(churn_ids)
-            system.bulk_share(
-                [system.corpus.get(doc_id) for doc_id in churn_ids]
-            )
-        fast = write_state_fingerprint(batched)
-        slow = write_state_fingerprint(legacy)
-        for part in ("slots", "version_rank", "owners"):
-            if fast[part] != slow[part]:
-                report.mismatches.append(
-                    RankingMismatch(
-                        query_id="<state>",
-                        detail=(
-                            f"write-state {part} diverged between the "
-                            "batched and per-term publication paths"
-                        ),
+            system.bulk_share([system.corpus.get(doc_id) for doc_id in churn_ids])
+
+        phases = (
+            ("bulk share", lambda system: system.bulk_share()),
+            ("learning", learn),
+            ("churn", churn),
+        )
+        for phase, step in phases:
+            step(a)
+            step(b)
+            left = write_state_fingerprint(a)
+            right = write_state_fingerprint(b)
+            for part in ("slots", "version_rank", "owners"):
+                if left[part] != right[part]:
+                    report.mismatches.append(
+                        RankingMismatch(
+                            query_id="<state>",
+                            detail=(
+                                f"write-state {part} diverged after {phase} "
+                                f"between {between}"
+                            ),
+                        )
                     )
-                )
         for query in self.test:
-            grouped = _pairs(batched.search(query, cache=False))
-            per_term = _pairs(legacy.search(query, cache=False))
+            left_pairs = _pairs(a.search(query, cache=False))
+            right_pairs = _pairs(b.search(query, cache=False))
             report.queries_compared += 1
-            if grouped != per_term:
+            if left_pairs != right_pairs:
                 report.mismatches.append(
                     RankingMismatch(
                         query_id=query.query_id,
                         detail=(
-                            f"batched={grouped[:3]}... "
-                            f"per-term={per_term[:3]}..."
+                            f"{first_label}={left_pairs[:3]}... "
+                            f"{second_label}={right_pairs[:3]}..."
                         ),
                     )
                 )
-        return report
 
-    def _build_ingest_sprite(self, batched_writes: bool) -> SpriteSystem:
-        return SpriteSystem(
+    def _build_ingest_sprite(self, per_term: bool) -> SpriteSystem:
+        system_type = PerTermSpriteSystem if per_term else SpriteSystem
+        return system_type(
             self.corpus,
-            sprite_config=self._sprite_config(batched_writes=batched_writes),
+            sprite_config=self._sprite_config(),
             chord_config=self._chord_config(optimized=True),
         )
 
@@ -437,51 +470,17 @@ class DifferentialOracle:
         """Replay the bulk-ingest flow (bulk share, training
         registration, learning, withdraw/re-share churn) through a
         sqlite-backed and an in-RAM system; the full write-state
-        fingerprint and every test-query ranking must match exactly.
-        The sqlite system uses an anonymous temporary store directory,
-        released when the system is garbage collected."""
+        fingerprint after every phase and every test-query ranking
+        must match exactly.  The sqlite system uses an anonymous
+        temporary store directory, closed once the comparison is done."""
         report = OracleReport(name="store-paths")
         durable = self._build_store_sprite(store_backend="sqlite")
-        memory = self._build_store_sprite(store_backend="memory")
-        docs = list(self.corpus)
-        churn_ids = [
-            d.doc_id for d in docs[: max(1, math.ceil(len(docs) / 5))]
-        ]
-        for system in (durable, memory):
-            system.bulk_share()
-            system.register_queries(self.train)
-            system.run_learning()
-            system.bulk_unshare(churn_ids)
-            system.bulk_share(
-                [system.corpus.get(doc_id) for doc_id in churn_ids]
-            )
-        disk = write_state_fingerprint(durable)
-        ram = write_state_fingerprint(memory)
-        for part in ("slots", "version_rank", "owners"):
-            if disk[part] != ram[part]:
-                report.mismatches.append(
-                    RankingMismatch(
-                        query_id="<state>",
-                        detail=(
-                            f"write-state {part} diverged between the "
-                            "sqlite and in-RAM store backends"
-                        ),
-                    )
-                )
-        for query in self.test:
-            on_disk = _pairs(durable.search(query, cache=False))
-            in_ram = _pairs(memory.search(query, cache=False))
-            report.queries_compared += 1
-            if on_disk != in_ram:
-                report.mismatches.append(
-                    RankingMismatch(
-                        query_id=query.query_id,
-                        detail=(
-                            f"sqlite={on_disk[:3]}... "
-                            f"memory={in_ram[:3]}..."
-                        ),
-                    )
-                )
+        self._compare_ingest_flow(
+            report,
+            ("sqlite", durable),
+            ("memory", self._build_store_sprite(store_backend="memory")),
+            between="the sqlite and in-RAM store backends",
+        )
         if durable.store_runtime is not None:
             durable.store_runtime.close()
         return report

@@ -11,8 +11,9 @@ database.
 :func:`build_store_runtime` is the configuration-driven factory the
 system constructor calls: it returns ``None`` for the default
 ``store_backend="memory"`` — the whole subsystem stays out of the way
-unless explicitly switched on (the same off-switch discipline as
-``columnar_postings`` and ``batched_writes``).
+unless explicitly switched on.  The protocol only ever calls
+:meth:`StoreRuntime.new_postings`, so any object with that method can
+stand in (tests use it to give slots the dict-backed reference store).
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
-"""Exactness of the batched write path (ISSUE 5).
+"""Exactness of the batched write path.
 
-The destination-grouped publish/unpublish/poll path
-(``SpriteConfig.batched_writes=True``) must be *invisible in state*:
+The destination-grouped publish/unpublish/poll path of
+:class:`~repro.core.owner.OwnerPeer` must be *invisible in state*:
 after any identical sequence of bulk shares, query registrations,
 learning iterations, withdrawals, re-shares, and graceful churn, the
 full write-visible state — slot postings and aggregates, the global
 order in which slot versions were assigned, owner index terms, poll
-cursors, and learner statistics — must be bit-identical to the seed
-per-term path's.
+cursors, and learner statistics — must be bit-identical to the per-term
+reference owner's (:class:`repro.reference.PerTermOwner`).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.core.indexer import IndexingProtocol
 from repro.core.owner import OwnerPeer
 from repro.corpus import Document
 from repro.dht import ChordRing
+from repro.reference import PerTermOwner
 from repro.sim.oracle import write_state_fingerprint
 
 VOCAB = [f"kw{i:03d}" for i in range(18)]
@@ -33,7 +34,7 @@ class _Stack:
     ``DistributedSystem`` surface :func:`write_state_fingerprint` reads
     (``.ring`` and ``.owners``)."""
 
-    def __init__(self, batched: bool, ring_seed: int) -> None:
+    def __init__(self, owner_type: type, ring_seed: int) -> None:
         self.ring = ChordRing(
             ChordConfig(
                 num_peers=16,
@@ -50,10 +51,9 @@ class _Stack:
             max_index_terms=5,
             query_cache_size=64,
             assumed_corpus_size=1000,
-            batched_writes=batched,
         )
         self.protocol = IndexingProtocol(self.ring, query_cache_size=64)
-        self.owner = OwnerPeer(self.ring.live_ids[0], self.protocol, self.config)
+        self.owner = owner_type(self.ring.live_ids[0], self.protocol, self.config)
         self.owners = {self.owner.node_id: self.owner}
 
 
@@ -121,8 +121,8 @@ def test_ingest_equivalence_property(
         "victim_index": rng.randint(0, 10_000),
         "joiner_id": None,
     }
-    batched = _Stack(batched=True, ring_seed=ring_seed)
-    legacy = _Stack(batched=False, ring_seed=ring_seed)
+    batched = _Stack(OwnerPeer, ring_seed=ring_seed)
+    legacy = _Stack(PerTermOwner, ring_seed=ring_seed)
     if churn:
         # Pick one joiner id that is fresh on both (identically seeded,
         # hence identical) rings.
@@ -145,8 +145,8 @@ def test_bulk_share_matches_per_term_shares() -> None:
     loop of per-term shares produces."""
     rng = random.Random(7)
     docs = _make_docs(rng, 6)
-    batched = _Stack(batched=True, ring_seed=19)
-    legacy = _Stack(batched=False, ring_seed=19)
+    batched = _Stack(OwnerPeer, ring_seed=19)
+    legacy = _Stack(PerTermOwner, ring_seed=19)
     batched.owner.share_bulk(docs)
     for doc in docs:
         legacy.owner.share(doc)
@@ -159,7 +159,7 @@ def test_learning_iteration_matches_per_term_polls() -> None:
     rng = random.Random(11)
     docs = _make_docs(rng, 4)
     queries = [tuple(rng.sample(VOCAB, 2)) for __ in range(10)]
-    stacks = [_Stack(batched=True, ring_seed=23), _Stack(batched=False, ring_seed=23)]
+    stacks = [_Stack(OwnerPeer, ring_seed=23), _Stack(PerTermOwner, ring_seed=23)]
     for stack in stacks:
         stack.owner.share_bulk(docs)
         issuer = stack.ring.live_ids[2]

@@ -8,6 +8,7 @@ from repro.config import ChordConfig, SpriteConfig
 from repro.core import SpriteSystem
 from repro.corpus import Corpus, Document, Query
 from repro.exceptions import LearningError
+from repro.reference import PerTermOwner, PerTermSpriteSystem
 
 CHORD = ChordConfig(num_peers=24, id_bits=32, seed=61)
 
@@ -52,6 +53,37 @@ class TestSharing:
         sprite.share_corpus()
         terms = sprite.index_terms("d0")
         assert len(terms) == 3
+
+    @pytest.mark.parametrize("system_type", [SpriteSystem, PerTermSpriteSystem])
+    def test_rejected_bulk_share_changes_nothing(
+        self,
+        corpus: Corpus,
+        fast_sprite_config: SpriteConfig,
+        system_type: type,
+    ) -> None:
+        """A bulk share naming an already-shared or duplicate document
+        raises before any owner registers or publishes anything."""
+        system = system_type(
+            corpus, sprite_config=fast_sprite_config, chord_config=CHORD
+        )
+        docs = list(corpus)
+        system.bulk_share(docs[:1])
+        owners = {n: set(o.shared) for n, o in system.owners.items()}
+        doc_owner = dict(system._doc_owner)
+        published = system.total_published_terms()
+        messages = system.ring.stats.total_messages
+
+        with pytest.raises(LearningError, match="document already shared"):
+            system.bulk_share(docs[1:] + docs[:1])
+        with pytest.raises(LearningError, match="duplicate document"):
+            system.bulk_share(docs[1:] + docs[1:2])
+
+        assert {n: set(o.shared) for n, o in system.owners.items()} == owners
+        assert system._doc_owner == doc_owner
+        assert system.total_published_terms() == published
+        assert system.ring.stats.total_messages == messages
+        assert system.bulk_share(docs[1:]) == len(docs) - 1
+        assert system.total_published_terms() == 12 * 3
 
 
 class TestSearchPath:
@@ -122,10 +154,11 @@ class TestLearningLoop:
         assert batch.hops >= batch.messages  # ≥1 hop each
 
     def test_stats_accumulate_traffic_legacy_path(self, corpus: Corpus) -> None:
-        """batched_writes=False keeps the seed per-term profile."""
+        """The per-term reference owner keeps the seed profile: one
+        PUBLISH_TERM message per (document, term) pair."""
         from repro.dht.messages import MessageKind
 
-        sprite = SpriteSystem(
+        sprite = PerTermSpriteSystem(
             corpus,
             sprite_config=SpriteConfig(
                 initial_terms=3,
@@ -134,11 +167,11 @@ class TestLearningLoop:
                 max_index_terms=5,
                 query_cache_size=50,
                 assumed_corpus_size=1000,
-                batched_writes=False,
             ),
             chord_config=CHORD,
         )
         sprite.share_corpus()
+        assert all(type(o) is PerTermOwner for o in sprite.owners.values())
         publish = sprite.ring.stats.kind(MessageKind.PUBLISH_TERM)
         assert publish.messages == 12 * 3
         assert publish.hops >= publish.messages  # ≥1 hop each

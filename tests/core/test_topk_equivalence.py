@@ -6,7 +6,8 @@ scores, identical tie-broken order versus both the exhaustive
 ``QueryProcessor(early_termination=False)`` and the per-term reference
 :func:`repro.reference.reference_execute` — under repeated keywords,
 failures, document-frequency overrides, degenerate ``top_k`` values,
-zero-length documents, and either posting-store backend.
+zero-length documents, and either posting store (columnar, or the
+dict-backed :class:`repro.reference.LegacyPostings`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.core.metadata import PostingEntry
 from repro.core.query_processing import QueryProcessor
 from repro.corpus.relevance import Query
 from repro.dht.ring import ChordRing
-from repro.reference import reference_execute
+from repro.reference import LegacyPostings, reference_execute
 
 VOCAB = [f"kw{i:03d}" for i in range(24)]
 
@@ -37,10 +38,18 @@ class _RawQuery:
         self.terms = tuple(terms)
 
 
+class _DictSlots:
+    """Store runtime that gives every new term slot the dict-backed
+    reference posting store."""
+
+    def new_postings(self, peer_id: int) -> LegacyPostings:
+        return LegacyPostings()
+
+
 def build_stack(
     *,
     early_termination: bool = True,
-    columnar: bool = True,
+    store_runtime=None,
     result_cache: int = 0,
     override=None,
     seed: int = 11,
@@ -49,7 +58,7 @@ def build_stack(
 ):
     ring = ChordRing(ChordConfig(num_peers=32, seed=seed, route_cache_size=4096))
     protocol = IndexingProtocol(
-        ring, columnar_postings=columnar, result_cache_size=result_cache
+        ring, result_cache_size=result_cache, store_runtime=store_runtime
     )
     processor = QueryProcessor(
         protocol,
@@ -179,8 +188,9 @@ class TestEdgeCases:
 
 class TestBackendEquivalence:
     def test_columnar_and_legacy_stores_rank_identically(self) -> None:
-        ring_c, __, proc_c = build_stack(columnar=True)
-        ring_l, __, proc_l = build_stack(columnar=False)
+        ring_c, __, proc_c = build_stack()
+        ring_l, protocol_l, proc_l = build_stack(store_runtime=_DictSlots())
+        assert isinstance(protocol_l.slot_snapshot(VOCAB[0])._store, LegacyPostings)
         rng = random.Random(5)
         for i in range(30):
             k = rng.randint(1, 3)

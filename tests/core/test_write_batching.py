@@ -1,7 +1,9 @@
-"""Edge cases of the batched write path (ISSUE 5).
+"""Edge cases of the batched write path.
 
 Unit-level companions to the ``test_ingest_equivalence`` property:
-owner semantics that must hold identically on both write paths
+owner semantics that must hold identically on the batched
+:class:`~repro.core.owner.OwnerPeer` and the per-term reference
+:class:`~repro.reference.PerTermOwner`
 (cursor resets, idempotent publication, partial-failure isolation) and
 the indexer batch methods' cost/failure contracts (one lookup per
 distinct peer via interval absorption, per-peer failure isolation,
@@ -20,7 +22,9 @@ from repro.core.metadata import PostingEntry
 from repro.core.owner import OwnerPeer
 from repro.corpus import Document
 from repro.dht import ChordRing
+from repro.exceptions import LearningError
 from repro.perf import PROFILE
+from repro.reference import PerTermOwner
 
 
 def make_ring(seed: int = 29, route_cache_size: int = 0) -> ChordRing:
@@ -36,16 +40,17 @@ def make_ring(seed: int = 29, route_cache_size: int = 0) -> ChordRing:
 
 
 def make_owner(ring: ChordRing, batched: bool) -> OwnerPeer:
+    """The production owner when *batched*, else the per-term reference."""
     config = SpriteConfig(
         initial_terms=2,
         terms_per_iteration=2,
         learning_iterations=1,
         max_index_terms=4,
         query_cache_size=32,
-        batched_writes=batched,
     )
     protocol = IndexingProtocol(ring, query_cache_size=32)
-    return OwnerPeer(ring.live_ids[0], protocol, config)
+    owner_type = OwnerPeer if batched else PerTermOwner
+    return owner_type(ring.live_ids[0], protocol, config)
 
 
 DOC = Document(
@@ -96,6 +101,29 @@ class TestOwnerEdgeCases:
             slot = owner.protocol.slot_snapshot(term)
             assert slot.version == versions_before[term]
             assert slot.indexed_document_frequency == 1
+        assert ring.stats.total_messages == messages_before
+
+    def test_rejected_bulk_share_changes_nothing(self, batched: bool) -> None:
+        ring = make_ring()
+        owner = make_owner(ring, batched)
+        other = Document("d2", "alpha beta beta gamma omega omega")
+        messages_before = ring.stats.total_messages
+
+        with pytest.raises(LearningError, match="duplicate document"):
+            owner.share_bulk([DOC, other, DOC])
+        assert owner.shared == {}
+        assert ring.stats.total_messages == messages_before
+
+        # Nothing was registered, so the corrected batch goes through.
+        states = owner.share_bulk([DOC, other])
+        assert [s.document.doc_id for s in states] == ["d1", "d2"]
+        assert all(s.index_terms for s in states)
+
+        late = Document("d3", "delta delta epsilon")
+        messages_before = ring.stats.total_messages
+        with pytest.raises(LearningError, match="document already shared"):
+            owner.share_bulk([late, DOC])
+        assert set(owner.shared) == {"d1", "d2"}
         assert ring.stats.total_messages == messages_before
 
     def test_one_failed_peer_does_not_lose_other_batches(self, batched: bool) -> None:

@@ -9,12 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ir.postings import (
-    ColumnarPostings,
-    DocTable,
-    LegacyPostings,
-    posting_impact,
-)
+from repro.ir.postings import ColumnarPostings, DocTable, posting_impact
+from repro.reference import LegacyPostings
 
 
 @pytest.fixture()

@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.owner import OwnerPeer
 from repro.corpus.synthetic import SyntheticTrecCorpus
+from repro.reference import PerTermOwner
 from repro.sim import DifferentialOracle, FullIndexSystem, write_state_fingerprint
 
 
@@ -68,16 +70,17 @@ class TestIngestPaths:
         assert report.ok, [m.detail for m in report.mismatches]
 
     def test_builders_differ_only_in_write_switch(self, oracle) -> None:
-        batched = oracle._build_ingest_sprite(batched_writes=True)
-        legacy = oracle._build_ingest_sprite(batched_writes=False)
-        assert batched.config.batched_writes
-        assert not legacy.config.batched_writes
+        batched = oracle._build_ingest_sprite(per_term=False)
+        legacy = oracle._build_ingest_sprite(per_term=True)
+        assert batched.owner_type is OwnerPeer
+        assert legacy.owner_type is PerTermOwner
+        assert batched.config == legacy.config
         assert batched.ring.live_ids == legacy.ring.live_ids
 
     def test_fingerprint_sees_slot_and_owner_state(self, workload) -> None:
         corpus, __, __ = workload
         oracle = DifferentialOracle(corpus, [], [], num_peers=16, seed=0)
-        system = oracle._build_ingest_sprite(batched_writes=True)
+        system = oracle._build_ingest_sprite(per_term=False)
         system.bulk_share()
         fingerprint = write_state_fingerprint(system)
         assert fingerprint["slots"], "expected published term slots"
