@@ -71,7 +71,7 @@ def measurements(record_result):
         committed = json.loads(RECORD_PATH.read_text(encoding="utf-8"))
 
     optimized = run_perf_workload(cfg)
-    baseline = run_perf_workload(cfg.replaced(optimized=False))
+    baseline = run_perf_workload(cfg.replaced(arm="reference"))
     speedup_total = round(baseline.total_s / optimized.total_s, 2)
     speedup_queries = round(
         (baseline.query_s + baseline.churn_s)

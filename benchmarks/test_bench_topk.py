@@ -114,9 +114,7 @@ def test_bench_topk_workload(benchmark, measurements) -> None:
     from repro.perf.topk import RESULT_CACHE_SIZE
 
     cfg = topk_smoke_config().replaced(
-        num_queries=200,
-        early_termination=True,
-        result_cache_size=RESULT_CACHE_SIZE,
+        num_queries=200, result_cache_size=RESULT_CACHE_SIZE
     )
     benchmark.pedantic(run_perf_workload, args=(cfg,), rounds=1, iterations=1)
 

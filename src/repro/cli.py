@@ -476,7 +476,7 @@ def cmd_perf(args: argparse.Namespace, out) -> int:
     kind, arity = _resolve_ring(args)
     cfg = smoke_config() if args.small else paper_scale_config()
     cfg = cfg.replaced(
-        optimized=not args.baseline,
+        arm="reference" if args.baseline else "production",
         seed=args.seed,
         ring=kind,
         ring_arity=arity,
@@ -902,10 +902,10 @@ def cmd_check(args: argparse.Namespace, out) -> int:
     schedule, ``--random`` to generate one from ``--seed``, or
     ``--catalogue NAME|all`` to run the adversarial workload catalogue)
     against a micro SPRITE deployment, checking the two-tier invariant
-    catalogue between events; then runs the seven comparisons of the
-    differential oracle (among them production query execution vs the
-    per-term reference of :mod:`repro.reference`, and full-index SPRITE
-    vs centralized TF-IDF).  Exit code 1 on any invariant violation or
+    catalogue between events; then runs the differential oracle:
+    production vs the reference models of :mod:`repro.reference`,
+    results invariant across the configurable axes, and full-index
+    SPRITE vs centralized TF-IDF.  Exit code 1 on any invariant violation or
     oracle mismatch.
     """
     from .net import build_transport
@@ -1068,8 +1068,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--baseline",
         action="store_true",
-        help="disable the optimization layer (route cache, incremental "
-        "repair, batched fetch) to measure the legacy paths",
+        help="run the repro.reference arms (no route cache, full-rebuild "
+        "ring, per-term query execution) to measure the legacy paths",
     )
     p.add_argument(
         "--mode",

@@ -131,10 +131,6 @@ class SpriteConfig:
     query_cache_size: int = 2000           # recent queries kept per indexing peer
     assumed_corpus_size: int = 1_000_000   # the "sufficiently large N"
     top_k_answers: int = 20                # answers returned per query
-    #: Exact max-score early termination for bounded-top-k queries.
-    #: Returned documents, scores, and order are identical to the
-    #: exhaustive path — this only skips provably hopeless scoring work.
-    early_termination: bool = True
     #: Per-indexing-peer query-result cache capacity; 0 (the default)
     #: disables result caching.  Opt-in because serving a repeated query
     #: from a cached result changes the *message* profile the cost
@@ -161,7 +157,8 @@ class SpriteConfig:
     #: paper's ring; ``"record"`` swaps in the ReCord-style recursive
     #: ring.  Routing changes where lookup messages travel, never what
     #: queries return — rankings and write-state fingerprints are
-    #: bit-identical across ring kinds (the eighth oracle comparison).
+    #: bit-identical across ring kinds (an axis of the oracle's
+    #: invariance check).
     ring: str = "chord"
     #: ReCord branching factor ``b``; only meaningful with
     #: ``ring="record"`` (2 degenerates to Chord's schedule exactly).
@@ -243,12 +240,9 @@ class ChordConfig:
     MD5 digest truncated to ``id_bits``).  ``successor_list_size``
     controls the §7 replication scheme.
 
-    The two performance knobs (DESIGN.md §8) change *speed only*, never
-    results: ``route_cache_size`` bounds each ring's epoch-validated
-    route cache (0 disables caching entirely) and ``incremental_repair``
-    lets single join/leave events patch routing tables in place instead
-    of rebuilding every table.  Tests assert both are observably
-    equivalent to the brute-force paths.
+    The one performance knob (DESIGN.md §8), ``route_cache_size``,
+    changes *speed only*, never results: it bounds each ring's
+    epoch-validated route cache (0 disables caching entirely).
     """
 
     num_peers: int = 64
@@ -256,7 +250,6 @@ class ChordConfig:
     successor_list_size: int = 4
     seed: int = 4111
     route_cache_size: int = 65536
-    incremental_repair: bool = True
 
     def __post_init__(self) -> None:
         _require(self.num_peers >= 1, "num_peers must be >= 1")

@@ -20,8 +20,8 @@ runtime uses a *capture-at-dispatch, timeline-replay* contract instead:
 
 Semantics come from step 1, timing from step 2.  At concurrency 1 the
 dispatch order equals the submission order, so results are bit-identical
-to the plain synchronous path — the property the sim oracle's seventh
-comparison enforces end-to-end.
+to the plain synchronous path — the property the concurrent-runtime arm of
+the sim oracle's invariance check enforces end-to-end.
 """
 
 from __future__ import annotations

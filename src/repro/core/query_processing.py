@@ -78,7 +78,6 @@ class QueryProcessor:
         protocol: IndexingProtocol,
         assumed_corpus_size: int,
         document_frequency_override: Optional[Mapping[str, int]] = None,
-        early_termination: bool = True,
         result_cache: bool = False,
     ) -> None:
         """``document_frequency_override`` substitutes *true* document
@@ -86,14 +85,6 @@ class QueryProcessor:
         computation — an ablation hook for Section 3/4's claim that the
         indexed frequency n'_k is an adequate (or better) surrogate.
         Production use leaves it ``None``.
-
-        ``early_termination`` enables the exact max-score top-k path for
-        bounded-``top_k`` queries: terms are scored in descending
-        max-impact order with provably conservative pruning, then the
-        surviving candidates are rescored in the reference operation
-        order, so the returned documents, scores, and tie-broken order
-        are *identical* to exhaustive scoring — only the work of scoring
-        documents that cannot reach the top k is skipped.
 
         ``result_cache`` consults/feeds the indexing peers' query-result
         caches (when the protocol has them enabled) for bounded-``top_k``
@@ -103,7 +94,6 @@ class QueryProcessor:
         self.protocol = protocol
         self.weighting = TfIdfWeighting(corpus_size=assumed_corpus_size)
         self.document_frequency_override = document_frequency_override
-        self.early_termination = early_termination
         self.result_cache = result_cache
 
     def execute(
@@ -214,9 +204,7 @@ class QueryProcessor:
 
         # -- phase A: conservative survivor selection (layer 2) -----------
         survivors = (
-            self._topk_survivors(term_infos, top_k)
-            if self.early_termination and top_k is not None
-            else None
+            self._topk_survivors(term_infos, top_k) if top_k is not None else None
         )
 
         # -- phase B: exact rescore, reference operation order ------------
@@ -300,6 +288,8 @@ class QueryProcessor:
         unseen documents provably cannot reach the top k, not even as a
         tie, so they are never tracked.  Tracked documents are always
         kept: the exact rescore decides their final order.
+        :class:`repro.reference.ExhaustiveQueryProcessor` overrides this
+        to return ``None`` — the exhaustive scorer it is checked against.
         """
         if top_k <= 0:
             return set()

@@ -27,8 +27,8 @@ the fingers sorted by distance.  ``arity=2`` yields exactly Chord's
 Crucially, the arity changes *where lookup messages go, never what is
 returned*: key ownership is the successor relation over the same
 membership, so rankings and write-state fingerprints are bit-identical
-across ring kinds given the same seed and workload (the differential
-oracle's eighth comparison).
+across ring kinds given the same seed and workload (the record arm of
+the differential oracle's invariance check).
 """
 
 from __future__ import annotations

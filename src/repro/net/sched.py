@@ -43,8 +43,8 @@ can assert run-to-run identity cheaply (the hypothesis property in
 The synchronous call-stack path remains the semantic oracle: operations
 replayed through this runtime at concurrency 1 complete in submission
 order, so rankings and state fingerprints are bit-identical to the
-sequential execution (the sim oracle's seventh comparison enforces
-this end-to-end).
+sequential execution (the concurrent-runtime arm of the sim oracle's
+invariance check enforces this end-to-end).
 """
 
 from __future__ import annotations

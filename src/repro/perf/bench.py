@@ -10,10 +10,11 @@ cost shows up in the totals.
 ``run_perf_workload(cfg)`` executes the scenario once and returns a
 :class:`PerfWorkloadResult` with phase timings, throughput, network
 statistics, and a **ranking checksum** — a digest of every query's
-ranked answer list.  Running the workload with ``optimized=False``
-(route cache off, incremental repair off, and the per-term fetch and
-nested-dict scoring of :func:`repro.reference.reference_execute`) must
-produce the *same checksum*: the optimization layer changes speed,
+ranked answer list.  Running the workload with ``arm="reference"``
+(route cache off, the full-rebuild ring of
+:func:`repro.reference.build_full_rebuild_ring`, and the per-term fetch
+and nested-dict scoring of :func:`repro.reference.reference_execute`)
+must produce the *same checksum*: the optimization layer changes speed,
 never results.  ``benchmarks/test_bench_perf.py``
 asserts exactly that while recording before/after numbers into
 ``BENCH_PERF.json``.
@@ -25,17 +26,28 @@ import random
 from dataclasses import asdict, dataclass
 from hashlib import sha256
 from time import perf_counter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..config import ChordConfig
 from ..core.indexer import IndexingProtocol
 from ..core.metadata import PostingEntry
 from ..core.query_processing import QueryProcessor
 from ..corpus.relevance import Query
+from ..corpus.sampling import zipf_weights
 from ..dht.messages import MessageKind
 from ..dht.recursive import build_ring
-from ..reference import reference_execute
+from ..reference import (
+    ExhaustiveQueryProcessor,
+    build_full_rebuild_ring,
+    reference_execute,
+)
 from .profile import PROFILE
+
+#: What a run executes.  ``production`` is the production stack;
+#: ``exhaustive`` swaps in :class:`repro.reference.ExhaustiveQueryProcessor`
+#: (no max-score pruning); ``reference`` runs the seed stack: no route
+#: cache, the full-rebuild ring, :func:`repro.reference.reference_execute`.
+ARMS: Tuple[str, ...] = ("production", "exhaustive", "reference")
 
 
 @dataclass(frozen=True)
@@ -58,10 +70,8 @@ class PerfWorkloadConfig:
     churn_every: int = 200
     zipf_exponent: float = 0.8
     seed: int = 4111
-    optimized: bool = True
-    #: Exact max-score early termination (ISSUE 4); only meaningful with
-    #: ``optimized=True`` (the reference path has no bounded-top-k mode).
-    early_termination: bool = True
+    #: One of :data:`ARMS`.
+    arm: str = "production"
     #: Per-indexing-peer query-result cache capacity (0 = off).
     result_cache_size: int = 0
     #: Overlay routing structure ("chord" / "record", DESIGN.md §16);
@@ -70,17 +80,21 @@ class PerfWorkloadConfig:
     #: ReCord branching factor (only meaningful with ``ring="record"``).
     ring_arity: int = 2
 
+    def __post_init__(self) -> None:
+        if self.arm not in ARMS:
+            raise ValueError(f"arm must be one of {ARMS}")
+
     def replaced(self, **kwargs) -> "PerfWorkloadConfig":
         merged = {**asdict(self), **kwargs}
         return PerfWorkloadConfig(**merged)
 
 
-def paper_scale_config(optimized: bool = True) -> PerfWorkloadConfig:
-    """The 2,000-peer / 5,000-query workload the issue tracks."""
-    return PerfWorkloadConfig(optimized=optimized)
+def paper_scale_config() -> PerfWorkloadConfig:
+    """The tracked 2,000-peer / 5,000-query workload."""
+    return PerfWorkloadConfig()
 
 
-def smoke_config(optimized: bool = True) -> PerfWorkloadConfig:
+def smoke_config() -> PerfWorkloadConfig:
     """A seconds-scale shrink of the same scenario for CI."""
     return PerfWorkloadConfig(
         num_peers=200,
@@ -91,7 +105,6 @@ def smoke_config(optimized: bool = True) -> PerfWorkloadConfig:
         distinct_queries=80,
         num_query_peers=16,
         churn_every=100,
-        optimized=optimized,
     )
 
 
@@ -99,7 +112,7 @@ def smoke_config(optimized: bool = True) -> PerfWorkloadConfig:
 class PerfWorkloadResult:
     """Measured outcome of one workload run (JSON-friendly)."""
 
-    optimized: bool
+    arm: str
     num_peers: int
     num_queries: int
     build_s: float
@@ -127,15 +140,11 @@ class PerfWorkloadResult:
         return asdict(self)
 
 
-def _zipf_weights(n: int, exponent: float) -> List[float]:
-    return [1.0 / (rank + 1) ** exponent for rank in range(n)]
-
-
 def run_perf_workload(cfg: PerfWorkloadConfig) -> PerfWorkloadResult:
     """Execute the scenario once and measure it.
 
     Deterministic for a given config: same seed → same ring, documents,
-    query stream, churn schedule, and (optimized or not) the same
+    query stream, churn schedule, and (whatever the arm) the same
     ranking checksum.
     """
     prior_enabled = PROFILE.enabled
@@ -152,34 +161,36 @@ def _run(cfg: PerfWorkloadConfig) -> PerfWorkloadResult:
     rng = random.Random(cfg.seed)
 
     t0 = perf_counter()
+    reference = cfg.arm == "reference"
     chord = ChordConfig(
         num_peers=cfg.num_peers,
         seed=cfg.seed,
-        route_cache_size=65536 if cfg.optimized else 0,
-        incremental_repair=cfg.optimized,
+        route_cache_size=0 if reference else 65536,
     )
-    ring = build_ring(
-        getattr(cfg, "ring", "chord"), chord, arity=getattr(cfg, "ring_arity", 2)
+    ring = (build_full_rebuild_ring if reference else build_ring)(
+        cfg.ring, chord, arity=cfg.ring_arity
     )
     protocol = IndexingProtocol(ring, result_cache_size=cfg.result_cache_size)
     assumed_n = 1_000_000
-    if cfg.optimized:
-        execute = QueryProcessor(
-            protocol,
-            assumed_corpus_size=assumed_n,
-            early_termination=cfg.early_termination,
-            result_cache=cfg.result_cache_size > 0,
-        ).execute
-    else:
+    if reference:
 
         def execute(issuer_id, query, top_k):
             return reference_execute(protocol, issuer_id, query, assumed_n, top_k)
+    else:
+        processor_type = (
+            ExhaustiveQueryProcessor if cfg.arm == "exhaustive" else QueryProcessor
+        )
+        execute = processor_type(
+            protocol,
+            assumed_corpus_size=assumed_n,
+            result_cache=cfg.result_cache_size > 0,
+        ).execute
     build_s = perf_counter() - t0
     PROFILE.record_memory("build")
 
     # -- publish a synthetic term index (Zipf-skewed vocabulary) ----------
     vocab = [f"term{i:04d}" for i in range(cfg.vocabulary_size)]
-    weights = _zipf_weights(cfg.vocabulary_size, cfg.zipf_exponent)
+    weights = zipf_weights(cfg.vocabulary_size, cfg.zipf_exponent)
     t0 = perf_counter()
     for d in range(cfg.num_documents):
         doc_id = f"doc{d:05d}"
@@ -212,7 +223,7 @@ def _run(cfg: PerfWorkloadConfig) -> PerfWorkloadResult:
             dict.fromkeys(rng.choices(vocab, weights=weights, k=k))
         )
         pool.append(Query(query_id=f"perfq{q:04d}", terms=terms))
-    pool_weights = _zipf_weights(cfg.distinct_queries, cfg.zipf_exponent)
+    pool_weights = zipf_weights(cfg.distinct_queries, cfg.zipf_exponent)
     issuer_pool = rng.sample(ring.live_ids, cfg.num_query_peers)
     issuer_of = {
         query.query_id: issuer_pool[i % len(issuer_pool)]
@@ -247,7 +258,7 @@ def _run(cfg: PerfWorkloadConfig) -> PerfWorkloadResult:
     lookups = ring.stats.kind(MessageKind.LOOKUP).messages - lookups_before
     total_s = build_s + publish_s + query_s + churn_s
     return PerfWorkloadResult(
-        optimized=cfg.optimized,
+        arm=cfg.arm,
         num_peers=cfg.num_peers,
         num_queries=cfg.num_queries,
         build_s=round(build_s, 4),

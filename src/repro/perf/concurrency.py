@@ -26,9 +26,10 @@ Because every cell replays the *same* captured timelines over the same
 op stream, the ranking checksum — computed in submission order — is
 identical in every cell and identical to re-executing the stream
 synchronously on the call-stack path (the run asserts both).  The grid
-changes *when* queries complete, never *what* they return; the sim
-oracle's seventh comparison enforces the same property end-to-end with
-live dispatch (:class:`ConcurrentRuntime`).
+changes *when* queries complete, never *what* they return; the
+concurrent-runtime arm of the sim oracle's invariance check enforces
+the same property end-to-end with live dispatch
+(:class:`ConcurrentRuntime`).
 
 ``benchmarks/test_bench_concurrency.py`` records the grid into
 ``benchmarks/BENCH_CONCURRENCY.json``; ``repro perf --mode concurrency``
@@ -50,6 +51,7 @@ from ..core.inflight import CapturedOp
 from ..core.metadata import PostingEntry
 from ..core.query_processing import QueryProcessor
 from ..corpus.relevance import Query
+from ..corpus.sampling import zipf_weights
 from ..dht.ring import ChordRing
 from ..net.sched import Scheduler, replay_timeline
 from ..net.trace import percentile
@@ -216,10 +218,6 @@ class ConcurrencyResult:
         return data
 
 
-def _zipf_weights(n: int, exponent: float) -> List[float]:
-    return [1.0 / (rank + 1) ** exponent for rank in range(n)]
-
-
 @dataclass
 class _Deployment:
     """The captured workload a grid replays: per-distinct-query
@@ -244,14 +242,13 @@ def _build_deployment(cfg: ConcurrencyConfig) -> Tuple[_Deployment, float]:
             num_peers=cfg.num_peers,
             seed=cfg.seed,
             route_cache_size=65536,
-            incremental_repair=True,
         )
     )
     protocol = IndexingProtocol(ring)
     processor = QueryProcessor(protocol, assumed_corpus_size=1_000_000)
 
     vocab = [f"term{i:04d}" for i in range(cfg.vocabulary_size)]
-    weights = _zipf_weights(cfg.vocabulary_size, cfg.zipf_exponent)
+    weights = zipf_weights(cfg.vocabulary_size, cfg.zipf_exponent)
     for d in range(cfg.num_documents):
         doc_id = f"doc{d:05d}"
         owner_id = ring.random_live_id(rng)
@@ -299,7 +296,7 @@ def _build_deployment(cfg: ConcurrencyConfig) -> Tuple[_Deployment, float]:
             result=ranked,
         )
 
-    pool_weights = _zipf_weights(cfg.distinct_queries, cfg.zipf_exponent)
+    pool_weights = zipf_weights(cfg.distinct_queries, cfg.zipf_exponent)
     stream = rng.choices(range(cfg.distinct_queries), weights=pool_weights, k=cfg.num_ops)
 
     # Stragglers: a seeded sample of peers that appear in the captured
@@ -541,7 +538,7 @@ class ConcurrentRuntime:
     happen in dispatch order, which at concurrency 1 *is* submission
     order: rankings and the quiescent state fingerprint are
     bit-identical to the plain call-stack path.  The sim oracle's
-    seventh comparison runs exactly that experiment.
+    invariance check runs exactly that experiment.
     """
 
     def __init__(self, system, scheduler: Scheduler) -> None:

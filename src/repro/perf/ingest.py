@@ -35,10 +35,11 @@ from ..core.owner import OwnerPeer
 from ..core.query_processing import QueryProcessor
 from ..corpus.document import Document
 from ..corpus.relevance import Query
+from ..corpus.sampling import zipf_weights
 from ..dht.ring import ChordRing
 from ..reference import PerTermOwner
 from ..text.analyzer import Analyzer
-from .profile import PROFILE
+from .profile import PROFILE, ratio
 
 #: Suffix variants attached to vocabulary words when synthesizing text:
 #: each word appears inflected, so analysis exercises the stemmer the
@@ -171,10 +172,6 @@ class IngestComparison:
         return asdict(self)
 
 
-def _zipf_weights(n: int, exponent: float) -> List[float]:
-    return [1.0 / (rank + 1) ** exponent for rank in range(n)]
-
-
 def _synth_text(rng: random.Random, vocab: List[str], weights: List[float], num_words: int) -> str:
     words = rng.choices(vocab, weights=weights, k=num_words)
     return " ".join(w + rng.choice(_SUFFIXES) for w in words)
@@ -202,7 +199,7 @@ def _run(cfg: IngestWorkloadConfig) -> IngestWorkloadResult:
 
     # -- phase 1: text analysis (the ingest-time fast path) ----------------
     vocab = [f"voc{i:03d}" for i in range(cfg.vocabulary_size)]
-    weights = _zipf_weights(cfg.vocabulary_size, cfg.zipf_exponent)
+    weights = zipf_weights(cfg.vocabulary_size, cfg.zipf_exponent)
     docs = [
         Document(
             f"doc{d:05d}",
@@ -273,7 +270,7 @@ def _run(cfg: IngestWorkloadConfig) -> IngestWorkloadResult:
         )
         for q in range(cfg.distinct_queries)
     ]
-    pool_weights = _zipf_weights(cfg.distinct_queries, cfg.zipf_exponent)
+    pool_weights = zipf_weights(cfg.distinct_queries, cfg.zipf_exponent)
     issuers = rng.sample(ring.live_ids, 16)
     t0 = perf_counter()
     for q in range(cfg.num_queries):
@@ -377,14 +374,14 @@ def run_ingest_comparison(cfg: IngestWorkloadConfig) -> IngestComparison:
         legacy=legacy,
         per_term=per_term,
         batched=batched,
-        speedup_build=_ratio(batched.docs_per_s_build, legacy.docs_per_s_build),
-        speedup_build_vs_per_term=_ratio(
+        speedup_build=ratio(batched.docs_per_s_build, legacy.docs_per_s_build),
+        speedup_build_vs_per_term=ratio(
             batched.docs_per_s_build, per_term.docs_per_s_build
         ),
-        speedup_republish=_ratio(
+        speedup_republish=ratio(
             batched.docs_per_s_republish, legacy.docs_per_s_republish
         ),
-        message_ratio=_ratio(
+        message_ratio=ratio(
             legacy.publish_messages_per_doc, batched.publish_messages_per_doc
         ),
         checksums_match=(
@@ -393,7 +390,3 @@ def run_ingest_comparison(cfg: IngestWorkloadConfig) -> IngestComparison:
             == batched.ranking_checksum
         ),
     )
-
-
-def _ratio(after: float, before: float) -> float:
-    return round(after / before, 2) if before else 0.0

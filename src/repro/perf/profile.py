@@ -229,3 +229,9 @@ class PerfProfile:
 #: The module-level profile every instrumented hot path reports into.
 #: Disabled by default; ``PROFILE.enable()`` turns collection on.
 PROFILE = PerfProfile()
+
+
+def ratio(after: float, before: float) -> float:
+    """*after* / *before* rounded to two places (0.0 when *before* is 0):
+    the speedup and cost ratios the comparison harnesses report."""
+    return round(after / before, 2) if before else 0.0

@@ -40,12 +40,13 @@ from ..core.owner import OwnerPeer
 from ..core.query_processing import QueryProcessor
 from ..corpus.document import Document
 from ..corpus.relevance import Query
+from ..corpus.sampling import zipf_weights
 from ..dht.replication import ReplicationManager
 from ..dht.ring import ChordRing
 from ..store import RecoveryManager, StoreRuntime
 from ..text.analyzer import Analyzer
-from .ingest import _synth_text, _zipf_weights
-from .profile import PROFILE
+from .ingest import _synth_text
+from .profile import PROFILE, ratio
 
 
 @dataclass(frozen=True)
@@ -203,7 +204,7 @@ def _build_runtime(cfg: StoreWorkloadConfig) -> Optional[StoreRuntime]:
 
 def _synth_corpus(cfg: StoreWorkloadConfig, rng: random.Random) -> List[Document]:
     vocab = [f"voc{i:03d}" for i in range(cfg.vocabulary_size)]
-    weights = _zipf_weights(cfg.vocabulary_size, cfg.zipf_exponent)
+    weights = zipf_weights(cfg.vocabulary_size, cfg.zipf_exponent)
     docs = [
         Document(
             f"doc{d:05d}",
@@ -219,7 +220,7 @@ def _synth_corpus(cfg: StoreWorkloadConfig, rng: random.Random) -> List[Document
 
 def _query_pool(cfg: StoreWorkloadConfig, rng: random.Random) -> List[Query]:
     vocab = [f"voc{i:03d}" for i in range(cfg.vocabulary_size)]
-    weights = _zipf_weights(cfg.vocabulary_size, cfg.zipf_exponent)
+    weights = zipf_weights(cfg.vocabulary_size, cfg.zipf_exponent)
     return [
         Query(
             query_id=f"stq{q:04d}",
@@ -285,7 +286,7 @@ def _run(cfg: StoreWorkloadConfig) -> StoreWorkloadResult:
         build_s = perf_counter() - t0
 
         # -- phase 2: training stream + one learning iteration ----------
-        pool_weights = _zipf_weights(cfg.distinct_queries, cfg.zipf_exponent)
+        pool_weights = zipf_weights(cfg.distinct_queries, cfg.zipf_exponent)
         t0 = perf_counter()
         for q in range(cfg.num_queries):
             query = pool[
@@ -400,7 +401,7 @@ def run_recovery_workload(
             if mine:
                 owner.unshare_bulk(mine)
         vocab = [f"voc{i:03d}" for i in range(cfg.vocabulary_size)]
-        weights = _zipf_weights(cfg.vocabulary_size, cfg.zipf_exponent)
+        weights = zipf_weights(cfg.vocabulary_size, cfg.zipf_exponent)
         analyzer = Analyzer()
         fresh = [
             Document(
@@ -477,17 +478,17 @@ def run_store_comparison(cfg: StoreWorkloadConfig) -> StoreComparison:
         sqlite_bloom=sqlite_bloom,
         recovery_snapshot=recovery_snapshot,
         recovery_full=recovery_full,
-        sqlite_build_cost=_ratio(
+        sqlite_build_cost=ratio(
             memory.docs_per_s_build, sqlite_bloom.docs_per_s_build
         ),
-        bloom_build_gain=_ratio(
+        bloom_build_gain=ratio(
             sqlite_bloom.docs_per_s_build, sqlite.docs_per_s_build
         ),
-        recovery_message_ratio=_ratio(
+        recovery_message_ratio=ratio(
             recovery_full.report["messages_sent"],
             recovery_snapshot.report["messages_sent"],
         ),
-        recovery_posting_ratio=_ratio(
+        recovery_posting_ratio=ratio(
             recovery_full.report["postings_shipped"],
             recovery_snapshot.report["postings_shipped"],
         ),
@@ -497,7 +498,3 @@ def run_store_comparison(cfg: StoreWorkloadConfig) -> StoreComparison:
             == sqlite_bloom.ranking_checksum
         ),
     )
-
-
-def _ratio(after: float, before: float) -> float:
-    return round(after / before, 2) if before else 0.0

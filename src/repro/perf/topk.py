@@ -8,9 +8,9 @@ over identical inputs:
   scoring, no route cache) of :func:`repro.reference.reference_execute`,
   identical to ``BENCH_PERF.json``'s "before" mode.  The acceptance
   baseline;
-* ``batched`` — the production path with early termination off
-  (batched fetch + exhaustive flat-dict scoring), the optimized path
-  of ``BENCH_PERF.json``'s "after" mode;
+* ``batched`` — the production stack with
+  :class:`repro.reference.ExhaustiveQueryProcessor` (batched fetch +
+  exhaustive flat-dict scoring, no max-score pruning);
 * ``topk`` — columnar slots + exact max-score early termination, result
   cache off.  Same messages on the wire as ``batched``, strictly less
   scoring work;
@@ -36,6 +36,7 @@ from .bench import (
     run_perf_workload,
     smoke_config,
 )
+from .profile import ratio
 
 #: The answer-list depth of the paper's experiments (top K = 20).
 TOP_K = 20
@@ -83,21 +84,11 @@ def run_topk_comparison(cfg: PerfWorkloadConfig) -> TopKComparison:
     Deterministic for a given config: all modes consume the same seeded
     workload, so their ranking checksums must agree bit for bit.
     """
-    legacy = run_perf_workload(
-        cfg.replaced(optimized=False, early_termination=False, result_cache_size=0)
-    )
-    batched = run_perf_workload(
-        cfg.replaced(optimized=True, early_termination=False, result_cache_size=0)
-    )
-    topk = run_perf_workload(
-        cfg.replaced(optimized=True, early_termination=True, result_cache_size=0)
-    )
+    legacy = run_perf_workload(cfg.replaced(arm="reference", result_cache_size=0))
+    batched = run_perf_workload(cfg.replaced(arm="exhaustive", result_cache_size=0))
+    topk = run_perf_workload(cfg.replaced(arm="production", result_cache_size=0))
     cached = run_perf_workload(
-        cfg.replaced(
-            optimized=True,
-            early_termination=True,
-            result_cache_size=RESULT_CACHE_SIZE,
-        )
+        cfg.replaced(arm="production", result_cache_size=RESULT_CACHE_SIZE)
     )
     return TopKComparison(
         top_k=TOP_K,
@@ -105,10 +96,10 @@ def run_topk_comparison(cfg: PerfWorkloadConfig) -> TopKComparison:
         batched=batched,
         topk=topk,
         cached=cached,
-        speedup_topk=_ratio(topk.queries_per_s, legacy.queries_per_s),
-        speedup_cached=_ratio(cached.queries_per_s, legacy.queries_per_s),
-        speedup_topk_vs_batched=_ratio(topk.queries_per_s, batched.queries_per_s),
-        speedup_cached_vs_batched=_ratio(cached.queries_per_s, batched.queries_per_s),
+        speedup_topk=ratio(topk.queries_per_s, legacy.queries_per_s),
+        speedup_cached=ratio(cached.queries_per_s, legacy.queries_per_s),
+        speedup_topk_vs_batched=ratio(topk.queries_per_s, batched.queries_per_s),
+        speedup_cached_vs_batched=ratio(cached.queries_per_s, batched.queries_per_s),
         checksums_match=(
             legacy.ranking_checksum
             == batched.ranking_checksum
@@ -116,7 +107,3 @@ def run_topk_comparison(cfg: PerfWorkloadConfig) -> TopKComparison:
             == cached.ranking_checksum
         ),
     )
-
-
-def _ratio(after: float, before: float) -> float:
-    return round(after / before, 2) if before else 0.0

@@ -18,6 +18,15 @@ for bit:
   :class:`~repro.ir.postings.ColumnarPostings`; slots get it through
   ``IndexingProtocol(store_runtime=)`` and any object whose
   ``new_postings(peer_id)`` returns one.
+* :class:`ExhaustiveQueryProcessor` — bounded top-k without max-score
+  pruning: every candidate is scored.  Checks the early termination of
+  :class:`~repro.core.query_processing.QueryProcessor`.
+* :class:`FullRebuildRing` — every join, leave and stabilize rebuilds
+  every routing table (:class:`FullRebuildChordRing`,
+  :class:`FullRebuildRecordRing`, :func:`build_full_rebuild_ring`).
+  Checks the incremental repair of :class:`~repro.dht.ring.ChordRing`
+  and :class:`~repro.dht.recursive.RecordRing` through
+  :meth:`~repro.dht.node.ChordNode.routing_snapshot`.
 
 :mod:`repro.core` must not import this module.
 """
@@ -28,10 +37,13 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .core.indexer import IndexingProtocol
 from .core.owner import OwnerPeer, SharedDocument, check_new_documents
-from .core.query_processing import QueryExecution
+from .config import ChordConfig
+from .core.query_processing import QueryExecution, QueryProcessor
 from .core.system import SpriteSystem
 from .corpus.document import Document
 from .corpus.relevance import Query
+from .dht.recursive import RecordRing
+from .dht.ring import ChordRing
 from .exceptions import NodeFailedError
 from .ir.postings import ImpactRow, PostingRow, next_version, posting_impact
 from .ir.ranking import RankedList
@@ -237,3 +249,49 @@ class LegacyPostings:
         ]
         rows.sort(key=lambda r: (-r[3], r[0]))
         return rows
+
+
+class ExhaustiveQueryProcessor(QueryProcessor):
+    """:class:`~repro.core.query_processing.QueryProcessor` without
+    max-score pruning: a bounded top-k scores every candidate.  Fetch,
+    scoring order, heap top-k and the result cache are production's."""
+
+    def _topk_survivors(self, term_infos: List[tuple], top_k: int) -> None:
+        return None
+
+
+class FullRebuildRing:
+    """Ring mixin: every join, leave and stabilize rebuilds every
+    routing table, as the seed ring did.  Mix in ahead of
+    :class:`~repro.dht.ring.ChordRing` or a subclass of it."""
+
+    def _can_repair_incrementally(self, was_converged: bool) -> bool:
+        return False
+
+    def stabilize(self) -> None:
+        self._rebuild()
+
+
+class FullRebuildChordRing(FullRebuildRing, ChordRing):
+    """:class:`~repro.dht.ring.ChordRing` with full-rebuild repair."""
+
+
+class FullRebuildRecordRing(FullRebuildRing, RecordRing):
+    """:class:`~repro.dht.recursive.RecordRing` with full-rebuild repair."""
+
+
+def build_full_rebuild_ring(
+    kind: str,
+    config: ChordConfig | None = None,
+    *,
+    arity: int = 2,
+) -> ChordRing:
+    """The full-rebuild counterpart of
+    :func:`~repro.dht.recursive.build_ring`: same kinds, same checks."""
+    if kind == "record":
+        return FullRebuildRecordRing(config, arity=arity)
+    if kind == "chord" and arity != 2:
+        raise ValueError("ring arity only applies to ring='record'")
+    if kind != "chord":
+        raise ValueError(f"unknown ring kind: {kind!r}")
+    return FullRebuildChordRing(config)

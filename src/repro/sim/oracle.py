@@ -1,71 +1,36 @@
 """The differential oracle: SPRITE checked against simpler truths.
 
-Seven comparisons, all on a churn-free ring:
+Two kinds of comparison, plus one degeneration, all run by one
+lockstep driver: the same phases on every system — share half the
+corpus one document at a time, bulk-share the rest, join one peer,
+have it leave, learning, withdraw and re-share a fifth of the corpus —
+with the :func:`write_state_fingerprint` compared after every phase,
+then two rounds of test queries (``cache=True``, then ``cache=False``)
+compared ranking by ranking, score bits included, and the fingerprint
+compared after each round.
 
-* **Perf-path equivalence** — the PR-2 optimizations (route caching,
-  incremental repair, the production query path's batched fetch and
-  flat-dict scoring) are pure performance work, so rankings must be
-  *bit-identical* to the direct path: no route cache, full-rebuild
-  stabilization, and every test query run through the per-term
-  reference :func:`repro.reference.reference_execute`.  The oracle
-  replays the same seeded end-to-end flow through both systems and
-  compares every ranking exactly — score bits included, because the
-  production scoring loop intentionally performs the same
-  floating-point operations in the same order.
+* **Reference** (:meth:`DifferentialOracle.check_reference`) —
+  production equals the reference models of :mod:`repro.reference`.
+  The reference system has a full-rebuild ring
+  (:class:`~repro.reference.FullRebuildChordRing`) with no route cache,
+  per-term owners (:class:`~repro.reference.PerTermOwner`) and answers
+  from :func:`~repro.reference.reference_execute`.  Every live node's
+  routing state must match after every phase, so a join fault that the
+  leave undoes still shows.  On the production system, every test query
+  is also run through :class:`~repro.reference.ExhaustiveQueryProcessor`:
+  the ranking and the per-kind traffic (messages, bytes, hops) must
+  equal production's, since early termination changes local scoring
+  work only, never the wire.
 
-* **Top-k path equivalence** — the ISSUE 4 retrieval rebuild (columnar
-  slots, exact max-score early termination, query-result caching) must
-  be invisible in results: rankings bit-identical to the exhaustive
-  batched path, and — with the result cache disabled — the *per-kind
-  network traffic* identical too, message for message, byte for byte
-  (early termination changes local scoring work only, never the wire).
-  The cached system is additionally queried twice per test query so the
-  second round is served from the result caches, which must still be
-  bit-identical.
-
-* **Ingest-path equivalence** — the batched write path
-  (destination-grouped bulk publish/unpublish, coalesced learning
-  polls) must leave the *entire write-visible state* of the system
-  bit-identical to the per-term reference owner
-  :class:`repro.reference.PerTermOwner`: every slot's postings,
-  aggregates, and query-cache cursor position, the global order in
-  which slot versions were assigned, and every owner's index terms,
-  poll cursors, and learner statistics.  The oracle replays a full
-  bulk-ingest flow — bulk share, training registration, learning,
-  then a withdraw/re-share churn cycle — through a
-  :class:`~repro.core.system.SpriteSystem` and a
-  :class:`~repro.reference.PerTermSpriteSystem` in lockstep and
-  compares :func:`write_state_fingerprint` after every phase plus
-  every test-query ranking exactly.
-
-* **Store-path equivalence** — the ISSUE 6 durable store
-  (:mod:`repro.store`) is an off-switchable persistence backend, so a
-  sqlite-backed system must be *bit-identical* to the in-RAM default
-  across the same bulk-ingest flow: the full write-state fingerprint
-  (postings, aggregates, version rank order, owner state) after every
-  phase and every test-query ranking, score bits included.  SQLite stores only the
-  integer posting columns; every float is recomputed through the same
-  expressions the columnar store uses, so there is no tolerance to
-  hide behind.
-
-* **Concurrent-runtime equivalence** — the DESIGN.md §15 event-driven
-  runtime is a *timing* model layered over unchanged semantics, so the
-  same query sequence submitted through
-  :class:`~repro.perf.concurrency.ConcurrentRuntime` at concurrency 1
-  (one client, ops dispatched strictly in submission order) must leave
-  the system bit-identical to plain call-stack execution: every ranking
-  exact, score bits included, and the full
-  :func:`write_state_fingerprint` of the quiescent system equal —
-  query-cache registrations and all other mutations happen in the same
-  order, because at concurrency 1 dispatch order *is* submission order.
-
-* **Ring-path equivalence** — the DESIGN.md §16 ReCord recursive ring
-  changes *where lookup messages travel, never what is returned*: key
-  ownership is the successor relation over the same seeded membership,
-  regardless of finger schedule.  The oracle replays the full seeded
-  flow through a ``ring="record"`` (b = 8) and a ``ring="chord"``
-  system; every test-query ranking and the full
-  :func:`write_state_fingerprint` must match bit for bit.
+* **Invariance** (:meth:`DifferentialOracle.check_invariance`) —
+  results do not depend on the axes that really are configurable.
+  Production runs beside four arms that each change one axis: the
+  sqlite posting store (DESIGN.md §12), the ReCord ring with b = 8
+  (DESIGN.md §16; ownership is the successor relation whatever the
+  finger schedule), a query-result cache of 128 entries (which must
+  answer every second-round query from its cache), and the
+  event-driven runtime (DESIGN.md §15) at concurrency 1, where
+  dispatch order is submission order.
 
 * **Centralized baseline** — with learning taken out of the picture by
   indexing *every* term (F = ∞) and the assumed corpus size pinned to
@@ -79,8 +44,8 @@ Seven comparisons, all on a churn-free ring:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import ChordConfig, SpriteConfig
 from ..corpus.corpus import Corpus
@@ -89,7 +54,12 @@ from ..core.metadata import TermSlot
 from ..core.system import DistributedSystem, SpriteSystem
 from ..ir.centralized import CentralizedSystem
 from ..ir.ranking import RankedList
-from ..reference import PerTermSpriteSystem, reference_execute
+from ..reference import (
+    ExhaustiveQueryProcessor,
+    FullRebuildChordRing,
+    PerTermSpriteSystem,
+    reference_execute,
+)
 
 
 def write_state_fingerprint(system: DistributedSystem) -> Dict[str, object]:
@@ -151,7 +121,8 @@ def write_state_fingerprint(system: DistributedSystem) -> Dict[str, object]:
 
 @dataclass(frozen=True)
 class RankingMismatch:
-    """One query whose rankings diverged between the two sides."""
+    """One divergence: a query's ranking, or (``query_id`` in angle
+    brackets) the state, routing or traffic its detail names."""
 
     query_id: str
     detail: str
@@ -191,8 +162,37 @@ def _pairs(ranked: RankedList) -> List[Tuple[str, float]]:
     return [(entry.doc_id, entry.score) for entry in ranked]
 
 
+#: Ranked answers of one query round, one list per test query.
+Rankings = List[List[Tuple[str, float]]]
+
+
+@dataclass
+class _Arm:
+    """One system the lockstep driver runs, and how it answers a query
+    round (``answer(queries, cache)``)."""
+
+    label: str
+    system: SpriteSystem
+    answer: Callable[[Sequence[Query], bool], Rankings]
+
+
+def _searcher(system: SpriteSystem) -> Callable[[Sequence[Query], bool], Rankings]:
+    return lambda queries, cache: [
+        _pairs(system.search(query, cache=cache)) for query in queries
+    ]
+
+
+def _routing_state(system: SpriteSystem) -> Dict[int, Tuple]:
+    ring = system.ring
+    return {nid: ring.nodes[nid].routing_snapshot() for nid in ring.live_ids}
+
+
 class DifferentialOracle:
-    """Runs the two comparisons over a corpus + query workload."""
+    """Runs the reference, invariance and centralized-baseline
+    comparisons over a corpus + query workload."""
+
+    #: Name the joining (and then departing) peer hashes from.
+    JOINER = "oracle-joiner"
 
     def __init__(
         self,
@@ -212,22 +212,16 @@ class DifferentialOracle:
 
     # -- construction helpers ---------------------------------------------
 
-    def _chord_config(self, optimized: bool) -> ChordConfig:
+    def _chord_config(self, route_cache_size: int = 65536) -> ChordConfig:
         return ChordConfig(
             num_peers=self.num_peers,
             id_bits=32,
             successor_list_size=4,
             seed=self.seed + 7,
-            route_cache_size=65536 if optimized else 0,
-            incremental_repair=optimized,
+            route_cache_size=route_cache_size,
         )
 
-    def _sprite_config(
-        self,
-        early_termination: bool = True,
-        result_cache_size: int = 0,
-        store_backend: str = "memory",
-    ) -> SpriteConfig:
+    def _sprite_config(self) -> SpriteConfig:
         return SpriteConfig(
             initial_terms=3,
             terms_per_iteration=3,
@@ -236,181 +230,44 @@ class DifferentialOracle:
             query_cache_size=200,
             assumed_corpus_size=1000,
             top_k_answers=self.top_k,
-            early_termination=early_termination,
-            result_cache_size=result_cache_size,
-            store_backend=store_backend,
         )
 
-    def _build_sprite(self, optimized: bool) -> SpriteSystem:
+    def _build(self, **overrides) -> SpriteSystem:
+        """A production system; *overrides* change configurable axes."""
         return SpriteSystem(
+            self.corpus,
+            sprite_config=replace(self._sprite_config(), **overrides),
+            chord_config=self._chord_config(),
+        )
+
+    def _build_reference(self) -> SpriteSystem:
+        """The reference system: full-rebuild ring without a route
+        cache, per-term owners."""
+        return PerTermSpriteSystem(
             self.corpus,
             sprite_config=self._sprite_config(),
-            chord_config=self._chord_config(optimized),
+            ring=FullRebuildChordRing(self._chord_config(route_cache_size=0)),
         )
 
-    # -- comparison 1: optimized vs direct execution paths -----------------
+    # -- the lockstep driver ---------------------------------------------------
 
-    def check_perf_paths(self) -> OracleReport:
-        """Replay the full seeded flow (share → register training →
-        learn → query) through the optimized and the direct system; the
-        direct system answers through :func:`reference_execute`.  Every
-        test-query ranking must match bit for bit."""
-        report = OracleReport(name="perf-paths")
-        optimized = self._build_sprite(optimized=True)
-        direct = self._build_sprite(optimized=False)
-        for system in (optimized, direct):
-            system.share_corpus()
-            system.register_queries(self.train)
-            system.run_learning()
-        for query in self.test:
-            # cache=False: comparing execution, not mutating cache state.
-            fast = _pairs(optimized.search(query, cache=False))
-            ranked, __ = reference_execute(
-                direct.protocol,
-                direct._issuer_for(query),
-                query,
-                direct.config.assumed_corpus_size,
-                top_k=direct.config.top_k_answers,
-                cache=False,
-            )
-            slow = _pairs(ranked)
-            report.queries_compared += 1
-            if fast != slow:
-                report.mismatches.append(
-                    RankingMismatch(
-                        query_id=query.query_id,
-                        detail=f"optimized={fast[:3]}... direct={slow[:3]}...",
-                    )
-                )
-        return report
-
-    # -- comparison 2: top-k path vs exhaustive path -------------------------
-
-    def check_topk_paths(self) -> OracleReport:
-        """Replay the seeded flow through three optimized systems that
-        differ only in the ISSUE 4 switches: exhaustive scoring, exact
-        early termination, and early termination + result caching.
-
-        Rankings must match bit for bit in every round — including the
-        second query round, which the cached system answers from its
-        result caches.  With the result cache disabled, early
-        termination must also leave the per-kind network traffic
-        (messages, bytes, hops) untouched: it changes local scoring
-        work only, never the wire.
-        """
-        report = OracleReport(name="topk-paths")
-        exhaustive = self._build_topk_sprite(
-            early_termination=False, result_cache_size=0
-        )
-        pruned = self._build_topk_sprite(
-            early_termination=True, result_cache_size=0
-        )
-        cached = self._build_topk_sprite(
-            early_termination=True, result_cache_size=128
-        )
-        for system in (exhaustive, pruned, cached):
-            system.share_corpus()
-            system.register_queries(self.train)
-            system.run_learning()
-        exhaustive_base = exhaustive.ring.stats.snapshot()
-        pruned_base = pruned.ring.stats.snapshot()
-        for round_no in range(2):
-            for query in self.test:
-                baseline = _pairs(exhaustive.search(query, cache=False))
-                early = _pairs(pruned.search(query, cache=False))
-                served = _pairs(cached.search(query, cache=False))
-                report.queries_compared += 1
-                if early != baseline:
-                    report.mismatches.append(
-                        RankingMismatch(
-                            query_id=query.query_id,
-                            detail=(
-                                f"round {round_no}: early-termination="
-                                f"{early[:3]}... exhaustive={baseline[:3]}..."
-                            ),
-                        )
-                    )
-                if served != baseline:
-                    report.mismatches.append(
-                        RankingMismatch(
-                            query_id=query.query_id,
-                            detail=(
-                                f"round {round_no}: result-cached="
-                                f"{served[:3]}... exhaustive={baseline[:3]}..."
-                            ),
-                        )
-                    )
-        exhaustive_delta = _kind_counts(
-            exhaustive.ring.stats.delta_since(exhaustive_base)
-        )
-        pruned_delta = _kind_counts(pruned.ring.stats.delta_since(pruned_base))
-        if exhaustive_delta != pruned_delta:
-            diff_kinds = sorted(
-                k
-                for k in set(exhaustive_delta) | set(pruned_delta)
-                if exhaustive_delta.get(k) != pruned_delta.get(k)
-            )
-            report.mismatches.append(
-                RankingMismatch(
-                    query_id="<network>",
-                    detail=(
-                        "per-kind traffic diverged with the result cache "
-                        f"disabled: {', '.join(diff_kinds)}"
-                    ),
-                )
-            )
-        return report
-
-    def _build_topk_sprite(
-        self, early_termination: bool, result_cache_size: int
-    ) -> SpriteSystem:
-        return SpriteSystem(
-            self.corpus,
-            sprite_config=self._sprite_config(
-                early_termination=early_termination,
-                result_cache_size=result_cache_size,
-            ),
-            chord_config=self._chord_config(optimized=True),
-        )
-
-    # -- comparison 3: batched vs per-term write path ------------------------
-
-    def check_ingest_paths(self) -> OracleReport:
-        """Replay a bulk-ingest flow — bulk share, training
-        registration, learning, then withdrawing and re-sharing a fifth
-        of the corpus — through the production system and one whose
-        owners are the per-term reference
-        (:class:`~repro.reference.PerTermOwner`); the full write-state
-        fingerprint after every phase and every test-query ranking
-        must match exactly."""
-        report = OracleReport(name="ingest-paths")
-        self._compare_ingest_flow(
-            report,
-            ("batched", self._build_ingest_sprite(per_term=False)),
-            ("per-term", self._build_ingest_sprite(per_term=True)),
-            between="the batched and per-term publication paths",
-        )
-        return report
-
-    def _compare_ingest_flow(
-        self,
-        report: OracleReport,
-        first: Tuple[str, SpriteSystem],
-        second: Tuple[str, SpriteSystem],
-        between: str,
-    ) -> None:
-        """Drive two systems through the bulk-ingest flow in lockstep.
-
-        After each phase the :func:`write_state_fingerprint` of the two
-        must agree — checking only the end state would let a later
-        phase overwrite an earlier divergence (the churn phase re-bumps
-        most slot versions) — and afterwards every test query must
-        rank identically."""
-        (first_label, a), (second_label, b) = first, second
+    def _phases(self) -> List[Tuple[str, Callable[[SpriteSystem], None]]]:
         docs = list(self.corpus)
-        churn_ids = [
-            d.doc_id for d in docs[: max(1, math.ceil(len(docs) / 5))]
-        ]
+        half = docs[: len(docs) // 2]
+        churn_ids = [d.doc_id for d in docs[: max(1, math.ceil(len(docs) / 5))]]
+        joined: Dict[int, int] = {}
+
+        def share_one_by_one(system: SpriteSystem) -> None:
+            for doc in half:
+                system.share_document(doc)
+
+        def join(system: SpriteSystem) -> None:
+            joined[id(system)] = system.ring.join(name=self.JOINER)
+
+        def leave(system: SpriteSystem) -> None:
+            # The joiner leaves: every document was shared before it
+            # joined, so it is the one peer sure to hold no owner state.
+            system.ring.leave(joined.pop(id(system)))
 
         def learn(system: SpriteSystem) -> None:
             system.register_queries(self.train)
@@ -420,193 +277,204 @@ class DifferentialOracle:
             system.bulk_unshare(churn_ids)
             system.bulk_share([system.corpus.get(doc_id) for doc_id in churn_ids])
 
-        phases = (
+        return [
+            ("share one by one", share_one_by_one),
             ("bulk share", lambda system: system.bulk_share()),
+            ("join", join),
+            ("leave", leave),
             ("learning", learn),
             ("churn", churn),
-        )
-        for phase, step in phases:
-            step(a)
-            step(b)
-            left = write_state_fingerprint(a)
-            right = write_state_fingerprint(b)
-            for part in ("slots", "version_rank", "owners"):
-                if left[part] != right[part]:
+        ]
+
+    def _lockstep(
+        self, report: OracleReport, arms: Sequence[_Arm], routing: bool = False
+    ) -> None:
+        """Run the phases, then two query rounds (``cache=True``, then
+        ``cache=False``), on every arm.  After each phase and round,
+        every arm's write-state fingerprint — and with *routing* every
+        live node's routing state — must equal the first arm's, and
+        every test-query ranking must too."""
+        base, others = arms[0], arms[1:]
+
+        def compare_state(when: str) -> None:
+            expected = write_state_fingerprint(base.system)
+            expected_routing = _routing_state(base.system) if routing else None
+            for arm in others:
+                actual = write_state_fingerprint(arm.system)
+                for part in ("slots", "version_rank", "owners"):
+                    if actual[part] != expected[part]:
+                        report.mismatches.append(
+                            RankingMismatch(
+                                query_id="<state>",
+                                detail=f"write-state {part} diverged after "
+                                f"{when}: {arm.label} vs {base.label}",
+                            )
+                        )
+                if routing and _routing_state(arm.system) != expected_routing:
                     report.mismatches.append(
                         RankingMismatch(
-                            query_id="<state>",
-                            detail=(
-                                f"write-state {part} diverged after {phase} "
-                                f"between {between}"
-                            ),
+                            query_id="<routing>",
+                            detail=f"routing state diverged after {when}: "
+                            f"{arm.label} vs {base.label}",
                         )
                     )
+
+        for phase, step in self._phases():
+            for arm in arms:
+                step(arm.system)
+            compare_state(phase)
+        for round_no, cache in enumerate((True, False), start=1):
+            when = f"query round {round_no} (cache={cache})"
+            expected = base.answer(self.test, cache)
+            for arm in others:
+                actual = arm.answer(self.test, cache)
+                for query, want, got in zip(self.test, expected, actual):
+                    if got != want:
+                        report.mismatches.append(
+                            RankingMismatch(
+                                query_id=query.query_id,
+                                detail=f"{when}: {arm.label}={got[:3]}... "
+                                f"{base.label}={want[:3]}...",
+                            )
+                        )
+            report.queries_compared += len(self.test)
+            compare_state(when)
+
+    # -- kind 1: production equals the reference ---------------------------
+
+    def check_reference(self) -> OracleReport:
+        """Production against the reference system of
+        :mod:`repro.reference` in lockstep, routing state included; then
+        production's bounded top-k against
+        :class:`~repro.reference.ExhaustiveQueryProcessor` on the
+        production system, ranking and per-kind traffic equal."""
+        report = OracleReport(name="reference")
+        production = self._build()
+        reference = self._build_reference()
+
+        def reference_answer(queries: Sequence[Query], cache: bool) -> Rankings:
+            return [
+                _pairs(
+                    reference_execute(
+                        reference.protocol,
+                        reference._issuer_for(query),
+                        query,
+                        reference.config.assumed_corpus_size,
+                        top_k=reference.config.top_k_answers,
+                        cache=cache,
+                    )[0]
+                )
+                for query in queries
+            ]
+
+        self._lockstep(
+            report,
+            [
+                _Arm("production", production, _searcher(production)),
+                _Arm("reference", reference, reference_answer),
+            ],
+            routing=True,
+        )
+
+        exhaustive = ExhaustiveQueryProcessor(
+            production.protocol,
+            assumed_corpus_size=production.config.assumed_corpus_size,
+        )
+        stats = production.ring.stats
         for query in self.test:
-            left_pairs = _pairs(a.search(query, cache=False))
-            right_pairs = _pairs(b.search(query, cache=False))
+            runs = []
+            for processor in (production.processor, exhaustive):
+                before = stats.snapshot()
+                ranked = processor.search(
+                    production._issuer_for(query),
+                    query,
+                    top_k=production.config.top_k_answers,
+                    cache=False,
+                )
+                runs.append((_pairs(ranked), _kind_counts(stats.delta_since(before))))
+            (pruned, pruned_traffic), (full, full_traffic) = runs
             report.queries_compared += 1
-            if left_pairs != right_pairs:
+            if pruned != full:
                 report.mismatches.append(
                     RankingMismatch(
                         query_id=query.query_id,
-                        detail=(
-                            f"{first_label}={left_pairs[:3]}... "
-                            f"{second_label}={right_pairs[:3]}..."
-                        ),
+                        detail=f"production={pruned[:3]}... "
+                        f"exhaustive={full[:3]}...",
                     )
                 )
-
-    def _build_ingest_sprite(self, per_term: bool) -> SpriteSystem:
-        system_type = PerTermSpriteSystem if per_term else SpriteSystem
-        return system_type(
-            self.corpus,
-            sprite_config=self._sprite_config(),
-            chord_config=self._chord_config(optimized=True),
-        )
-
-    # -- comparison 3b: sqlite store vs in-RAM store -------------------------
-
-    def check_store_paths(self) -> OracleReport:
-        """Replay the bulk-ingest flow (bulk share, training
-        registration, learning, withdraw/re-share churn) through a
-        sqlite-backed and an in-RAM system; the full write-state
-        fingerprint after every phase and every test-query ranking
-        must match exactly.  The sqlite system uses an anonymous
-        temporary store directory, closed once the comparison is done."""
-        report = OracleReport(name="store-paths")
-        durable = self._build_store_sprite(store_backend="sqlite")
-        self._compare_ingest_flow(
-            report,
-            ("sqlite", durable),
-            ("memory", self._build_store_sprite(store_backend="memory")),
-            between="the sqlite and in-RAM store backends",
-        )
-        if durable.store_runtime is not None:
-            durable.store_runtime.close()
+            if pruned_traffic != full_traffic:
+                report.mismatches.append(
+                    RankingMismatch(
+                        query_id=query.query_id,
+                        detail=f"per-kind traffic diverged: production="
+                        f"{pruned_traffic} exhaustive={full_traffic}",
+                    )
+                )
         return report
 
-    def _build_store_sprite(self, store_backend: str) -> SpriteSystem:
-        return SpriteSystem(
-            self.corpus,
-            sprite_config=self._sprite_config(store_backend=store_backend),
-            chord_config=self._chord_config(optimized=True),
-        )
+    # -- kind 2: results invariant across the configurable axes ------------
 
-    # -- comparison 3c: event-driven runtime vs call-stack execution ---------
+    def _invariance_arms(self) -> List[SpriteSystem]:
+        """Production, then one system per configurable axis: sqlite
+        store, ReCord ring (b = 8), result cache; the last production
+        system is driven through the event-driven runtime."""
+        return [
+            self._build(),
+            self._build(store_backend="sqlite"),
+            self._build(ring="record", ring_arity=8),
+            self._build(result_cache_size=128),
+            self._build(),
+        ]
 
-    def check_concurrent_runtime(self) -> OracleReport:
-        """Submit the test queries through the event-driven runtime at
-        concurrency 1 and through the plain call-stack path, on two
-        identically built systems; every ranking and the quiescent
-        write-state fingerprint must match exactly.
-
-        Queries run with ``cache=True`` deliberately: each one mutates
-        query-cache state, so the fingerprint comparison proves the
-        runtime preserved the *order* of mutations, not just the
-        results."""
+    def check_invariance(self) -> OracleReport:
+        """Production against the sqlite, record, result-cache and
+        concurrent-runtime arms in lockstep.  The result-cache arm must
+        answer every second-round query from its cache, or it checked
+        nothing."""
         from ..net.sched import Scheduler
         from ..perf.concurrency import ConcurrentRuntime
 
-        report = OracleReport(name="concurrent-runtime")
-        sequential = self._build_sprite(optimized=True)
-        concurrent = self._build_sprite(optimized=True)
-        for system in (sequential, concurrent):
-            system.share_corpus()
-            system.register_queries(self.train)
-            system.run_learning()
+        report = OracleReport(name="invariance")
+        production, durable, record, cached, concurrent = self._invariance_arms()
+        cache_hits: List[int] = []
 
-        baseline = [
-            _pairs(sequential.search(query, cache=True)) for query in self.test
-        ]
-        runtime = ConcurrentRuntime(
-            concurrent, Scheduler(service_time_ms=0.25, seed=self.seed)
-        )
-        for query in self.test:
-            runtime.submit(query, cache=True)
-        completed = runtime.run()
+        def cached_answer(queries: Sequence[Query], cache: bool) -> Rankings:
+            runs = [cached.execute(query, cache=cache) for query in queries]
+            cache_hits.append(sum(execution.cache_hit for __, execution in runs))
+            return [_pairs(ranked) for ranked, __ in runs]
 
-        for query, reference, (_q, result) in zip(self.test, baseline, completed):
-            replayed = _pairs(result[0])
-            report.queries_compared += 1
-            if replayed != reference:
-                report.mismatches.append(
-                    RankingMismatch(
-                        query_id=query.query_id,
-                        detail=(
-                            f"event-driven={replayed[:3]}... "
-                            f"call-stack={reference[:3]}..."
-                        ),
-                    )
+        def runtime_answer(queries: Sequence[Query], cache: bool) -> Rankings:
+            runtime = ConcurrentRuntime(
+                concurrent, Scheduler(service_time_ms=0.25, seed=self.seed)
+            )
+            for query in queries:
+                runtime.submit(query, cache=cache)
+            return [_pairs(result[0]) for __, result in runtime.run()]
+
+        try:
+            self._lockstep(
+                report,
+                [
+                    _Arm("production", production, _searcher(production)),
+                    _Arm("sqlite", durable, _searcher(durable)),
+                    _Arm("record", record, _searcher(record)),
+                    _Arm("result-cache", cached, cached_answer),
+                    _Arm("concurrent-runtime", concurrent, runtime_answer),
+                ],
+            )
+        finally:
+            durable.store_runtime.close()
+        if cache_hits[-1] != len(self.test):
+            report.mismatches.append(
+                RankingMismatch(
+                    query_id="<result-cache>",
+                    detail=f"result-cache arm served {cache_hits[-1]} of "
+                    f"{len(self.test)} second-round queries from its cache",
                 )
-        direct_state = write_state_fingerprint(sequential)
-        replay_state = write_state_fingerprint(concurrent)
-        for part in ("slots", "version_rank", "owners"):
-            if direct_state[part] != replay_state[part]:
-                report.mismatches.append(
-                    RankingMismatch(
-                        query_id="<state>",
-                        detail=(
-                            f"quiescent write-state {part} diverged between "
-                            "the event-driven and call-stack executions"
-                        ),
-                    )
-                )
+            )
         return report
 
-    # -- comparison 3d: ReCord recursive ring vs Chord ring ------------------
-
-    def check_ring_paths(self) -> OracleReport:
-        """Replay the full seeded flow through a ReCord (b = 8) and a
-        Chord system; every test-query ranking and the full write-state
-        fingerprint must match exactly.  Routing selects message paths,
-        not results: both rings hold the same seeded membership, and
-        ownership is the successor relation — independent of how many
-        hops a lookup took to find it."""
-        report = OracleReport(name="ring-paths")
-        recursive = self._build_ring_sprite(ring="record", ring_arity=8)
-        chord = self._build_ring_sprite(ring="chord", ring_arity=2)
-        for system in (recursive, chord):
-            system.share_corpus()
-            system.register_queries(self.train)
-            system.run_learning()
-        record_state = write_state_fingerprint(recursive)
-        chord_state = write_state_fingerprint(chord)
-        for part in ("slots", "version_rank", "owners"):
-            if record_state[part] != chord_state[part]:
-                report.mismatches.append(
-                    RankingMismatch(
-                        query_id="<state>",
-                        detail=(
-                            f"write-state {part} diverged between the "
-                            "record and chord rings"
-                        ),
-                    )
-                )
-        for query in self.test:
-            wide = _pairs(recursive.search(query, cache=False))
-            narrow = _pairs(chord.search(query, cache=False))
-            report.queries_compared += 1
-            if wide != narrow:
-                report.mismatches.append(
-                    RankingMismatch(
-                        query_id=query.query_id,
-                        detail=f"record={wide[:3]}... chord={narrow[:3]}...",
-                    )
-                )
-        return report
-
-    def _build_ring_sprite(self, ring: str, ring_arity: int) -> SpriteSystem:
-        from dataclasses import replace
-
-        return SpriteSystem(
-            self.corpus,
-            sprite_config=replace(
-                self._sprite_config(), ring=ring, ring_arity=ring_arity
-            ),
-            chord_config=self._chord_config(optimized=True),
-        )
-
-    # -- comparison 4: full-index SPRITE vs centralized TF-IDF ---------------
+    # -- full-index SPRITE vs centralized TF-IDF -----------------------------
 
     def check_centralized_baseline(self) -> OracleReport:
         """At F = ∞ with the assumed corpus size pinned to the true
@@ -622,7 +490,7 @@ class DifferentialOracle:
                 assumed_corpus_size=len(self.corpus),
                 top_k_answers=self.top_k,
             ),
-            chord_config=self._chord_config(optimized=True),
+            chord_config=self._chord_config(),
         )
         full.share_corpus()
         centralized = CentralizedSystem(self.corpus, normalization="lee")
@@ -659,12 +527,8 @@ class DifferentialOracle:
     def check_all(self) -> Dict[str, OracleReport]:
         """All comparisons, keyed by oracle name."""
         reports = [
-            self.check_perf_paths(),
-            self.check_topk_paths(),
-            self.check_ingest_paths(),
-            self.check_store_paths(),
-            self.check_concurrent_runtime(),
-            self.check_ring_paths(),
+            self.check_reference(),
+            self.check_invariance(),
             self.check_centralized_baseline(),
         ]
         return {r.name: r for r in reports}

@@ -34,7 +34,6 @@ def build_stack(result_cache: int = 64, seed: int = 3):
     processor = QueryProcessor(
         protocol,
         assumed_corpus_size=10_000,
-        early_termination=True,
         result_cache=result_cache > 0,
     )
     rng = random.Random(seed)
@@ -224,7 +223,6 @@ class TestEndToEnd:
             protocol,
             assumed_corpus_size=10_000,
             document_frequency_override={VOCAB[0]: 5},
-            early_termination=True,
             result_cache=True,
         )
         execute(ring, processor, (VOCAB[0],))

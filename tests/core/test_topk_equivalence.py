@@ -1,9 +1,9 @@
 """Exactness of the top-k execution path (ISSUE 4).
 
-The early-termination path (`QueryProcessor(early_termination=True)`)
-must be *invisible in results*: identical documents, bit-identical
-scores, identical tie-broken order versus both the exhaustive
-``QueryProcessor(early_termination=False)`` and the per-term reference
+The early-termination path of :class:`QueryProcessor` must be
+*invisible in results*: identical documents, bit-identical scores,
+identical tie-broken order versus both the exhaustive
+:class:`repro.reference.ExhaustiveQueryProcessor` and the per-term reference
 :func:`repro.reference.reference_execute` — under repeated keywords,
 failures, document-frequency overrides, degenerate ``top_k`` values,
 zero-length documents, and either posting store (columnar, or the
@@ -24,7 +24,11 @@ from repro.core.metadata import PostingEntry
 from repro.core.query_processing import QueryProcessor
 from repro.corpus.relevance import Query
 from repro.dht.ring import ChordRing
-from repro.reference import LegacyPostings, reference_execute
+from repro.reference import (
+    ExhaustiveQueryProcessor,
+    LegacyPostings,
+    reference_execute,
+)
 
 VOCAB = [f"kw{i:03d}" for i in range(24)]
 
@@ -48,7 +52,7 @@ class _DictSlots:
 
 def build_stack(
     *,
-    early_termination: bool = True,
+    processor_type=QueryProcessor,
     store_runtime=None,
     result_cache: int = 0,
     override=None,
@@ -60,11 +64,10 @@ def build_stack(
     protocol = IndexingProtocol(
         ring, result_cache_size=result_cache, store_runtime=store_runtime
     )
-    processor = QueryProcessor(
+    processor = processor_type(
         protocol,
         assumed_corpus_size=10_000,
         document_frequency_override=override,
-        early_termination=early_termination,
         result_cache=result_cache > 0,
     )
     rng = random.Random(seed)
@@ -106,8 +109,8 @@ def run_reference(processor, ring, query, top_k):
 
 class TestEdgeCases:
     def test_repeated_keywords_score_once(self) -> None:
-        ring_t, __, proc_t = build_stack(early_termination=True)
-        ring_r, __, proc_r = build_stack(early_termination=False)
+        ring_t, __, proc_t = build_stack()
+        ring_r, __, proc_r = build_stack(processor_type=ExhaustiveQueryProcessor)
         # Query normalizes keywords to a sorted set, so repeats collapse
         # before execution; both paths must agree on the collapsed view.
         query = Query("rep", (VOCAB[3], VOCAB[3], VOCAB[9], VOCAB[3]))
@@ -121,9 +124,9 @@ class TestEdgeCases:
     def test_repeated_terms_fed_directly_score_once(self) -> None:
         """The processor's own dedup guard, exercised below the Query
         normalization layer: a repeated term contributes exactly once."""
-        ring_t, __, proc_t = build_stack(early_termination=True)
-        ring_b, __, proc_b = build_stack(early_termination=False)
-        ring_r, __, proc_r = build_stack(early_termination=False)
+        ring_t, __, proc_t = build_stack()
+        ring_b, __, proc_b = build_stack(processor_type=ExhaustiveQueryProcessor)
+        ring_r, __, proc_r = build_stack(processor_type=ExhaustiveQueryProcessor)
         single = Query("one", (VOCAB[3],))
         raw = _RawQuery("raw", (VOCAB[3], VOCAB[3], VOCAB[3]))
         for top_k in (5, None):
@@ -135,7 +138,7 @@ class TestEdgeCases:
             assert pairs(ranked_r) == pairs(base)
 
     def test_all_terms_failed_returns_empty(self) -> None:
-        ring, protocol, proc = build_stack(early_termination=True)
+        ring, protocol, proc = build_stack()
         query = Query("dead", (VOCAB[0], VOCAB[1]))
         for term in query.terms:
             ring.fail(ring.successor_of(protocol.term_hash(term)))
@@ -146,8 +149,8 @@ class TestEdgeCases:
         assert list(execution.dropped_terms) == list(query.terms)
 
     def test_top_k_zero_returns_empty(self) -> None:
-        for early in (True, False):
-            ring, __, proc = build_stack(early_termination=early)
+        for processor_type in (QueryProcessor, ExhaustiveQueryProcessor):
+            ring, __, proc = build_stack(processor_type=processor_type)
             query = Query("z", (VOCAB[2],))
             ranked, __ = run_query(proc, ring, query, top_k=0)
             assert len(ranked) == 0
@@ -155,8 +158,8 @@ class TestEdgeCases:
             assert len(ranked_r) == 0
 
     def test_top_k_beyond_candidates_returns_all(self) -> None:
-        ring_t, __, proc_t = build_stack(early_termination=True)
-        ring_r, __, proc_r = build_stack(early_termination=False)
+        ring_t, __, proc_t = build_stack()
+        ring_r, __, proc_r = build_stack(processor_type=ExhaustiveQueryProcessor)
         query = Query("wide", (VOCAB[4], VOCAB[11]))
         ranked_t, __ = run_query(proc_t, ring_t, query, top_k=10_000)
         ranked_r, __ = run_reference(proc_r, ring_r, query, top_k=10_000)
@@ -164,8 +167,8 @@ class TestEdgeCases:
         assert len(ranked_t) > 0
 
     def test_zero_length_documents_rank_last_identically(self) -> None:
-        ring_t, __, proc_t = build_stack(early_termination=True, zero_length_docs=6)
-        ring_r, __, proc_r = build_stack(early_termination=False, zero_length_docs=6)
+        ring_t, __, proc_t = build_stack(zero_length_docs=6)
+        ring_r, __, proc_r = build_stack(processor_type=ExhaustiveQueryProcessor, zero_length_docs=6)
         for term in VOCAB:
             query = Query(f"q-{term}", (term,))
             for top_k in (8, None):
@@ -174,8 +177,8 @@ class TestEdgeCases:
                 assert pairs(ranked_t) == pairs(ranked_r)
 
     def test_unbounded_top_k_skips_the_termination_path(self) -> None:
-        ring_t, __, proc_t = build_stack(early_termination=True)
-        ring_r, __, proc_r = build_stack(early_termination=False)
+        ring_t, __, proc_t = build_stack()
+        ring_r, __, proc_r = build_stack(processor_type=ExhaustiveQueryProcessor)
         query = Query("all", (VOCAB[5], VOCAB[8]))
         ranked_t, exec_t = run_query(proc_t, ring_t, query, top_k=None)
         ranked_r, exec_r = run_reference(proc_r, ring_r, query, top_k=None)
@@ -217,7 +220,7 @@ def test_equivalence_property(
     use_override: bool,
 ) -> None:
     """For any seeded workload — including peer failures and document
-    frequency overrides — early termination on and off and the
+    frequency overrides — the pruning and exhaustive processors and the
     reference return identical documents, scores, and order."""
     rng = random.Random(seed)
     terms = tuple(rng.choice(VOCAB) for __ in range(num_terms))
@@ -227,9 +230,13 @@ def test_equivalence_property(
     query = Query("prop", terms)
 
     rankings = []
-    for early, run in ((True, run_query), (False, run_query), (False, run_reference)):
+    for processor_type, run in (
+        (QueryProcessor, run_query),
+        (ExhaustiveQueryProcessor, run_query),
+        (ExhaustiveQueryProcessor, run_reference),
+    ):
         ring, protocol, processor = build_stack(
-            early_termination=early,
+            processor_type=processor_type,
             override=override,
             seed=seed % 17,
         )

@@ -1,7 +1,8 @@
-"""Incremental repair ≡ full rebuild (ISSUE 2 satellite).
+"""Incremental repair ≡ full rebuild.
 
-Two rings with identical explicit memberships — one running incremental
-repair, one forced to full rebuilds — are driven through the same random
+Two rings with identical explicit memberships — a production
+:class:`ChordRing`, which repairs incrementally, and the reference
+:class:`repro.reference.FullRebuildChordRing` — are driven through the same random
 sequence of joins, graceful leaves, crash failures, data placements, and
 explicit stabilizations.  After every event the complete routing state
 of every node (successor, predecessor, successor list, finger table,
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.config import ChordConfig
 from repro.dht.ring import ChordRing
+from repro.reference import FullRebuildChordRing
 
 BITS = 12
 SIZE = 1 << BITS
@@ -30,12 +32,8 @@ def build_pair(ids):
         seed=1,
         route_cache_size=0,
     )
-    full = ChordRing(
-        ChordConfig(incremental_repair=False, **common), node_ids=list(ids)
-    )
-    inc = ChordRing(
-        ChordConfig(incremental_repair=True, **common), node_ids=list(ids)
-    )
+    full = FullRebuildChordRing(ChordConfig(**common), node_ids=list(ids))
+    inc = ChordRing(ChordConfig(**common), node_ids=list(ids))
     return full, inc
 
 
@@ -108,16 +106,20 @@ def test_single_join_repairs_incrementally_without_full_rebuild() -> None:
     finally:
         PROFILE.disable()
     assert PROFILE.counter("stabilize.incremental") == 1
-    assert PROFILE.counter("stabilize.full") == 1  # only the legacy ring
+    assert PROFILE.counter("stabilize.full") == 1  # only the reference ring
     assert ring_state(full) == ring_state(inc)
 
 
 def test_stabilize_is_noop_when_converged() -> None:
-    __, inc = build_pair([101 * i + 3 for i in range(20)])
+    full, inc = build_pair([101 * i + 3 for i in range(20)])
     epoch = inc.epoch
     inc.stabilize()
     inc.stabilize()
     assert inc.epoch == epoch  # no routing change → caches stay valid
+    # The reference ring rebuilds on every stabilize, converged or not.
+    full_epoch = full.epoch
+    full.stabilize()
+    assert full.epoch == full_epoch + 1
 
 
 def test_tiny_ring_falls_back_to_full_rebuild() -> None:

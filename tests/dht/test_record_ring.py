@@ -12,6 +12,11 @@ from hypothesis import strategies as st
 from repro.config import ChordConfig
 from repro.dht import ChordRing, RecordRing, build_ring, recursive_finger_steps
 from repro.exceptions import NodeFailedError
+from repro.reference import (
+    FullRebuildChordRing,
+    FullRebuildRecordRing,
+    build_full_rebuild_ring,
+)
 
 BITS = 12
 SIZE = 1 << BITS
@@ -80,6 +85,18 @@ class TestBuildRingFactory:
         with pytest.raises(ValueError):
             build_ring("record", make_config([10, 500]), arity=1, node_ids=[10, 500])
 
+    def test_full_rebuild_builder_mirrors_build_ring(self) -> None:
+        config = make_config([0] * 6)
+        chord = build_full_rebuild_ring("chord", config)
+        record = build_full_rebuild_ring("record", config, arity=8)
+        assert type(chord) is FullRebuildChordRing
+        assert type(record) is FullRebuildRecordRing
+        assert record.arity == 8
+        assert chord.live_ids == record.live_ids == build_ring("chord", config).live_ids
+        for kind, arity in (("chord", 8), ("pastry", 2), ("record", 1)):
+            with pytest.raises(ValueError):
+                build_full_rebuild_ring(kind, config, arity=arity)
+
 
 def ring_state(ring: ChordRing):
     return {
@@ -142,9 +159,9 @@ def test_record_and_chord_lookups_agree_with_oracle(data) -> None:
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_record_incremental_repair_matches_full_rebuild(data) -> None:
-    """PR 2's incremental-stabilize equivalence, re-run on the recursive
-    schedule: join/leave/fail repairs must land the exact state a full
-    rebuild computes."""
+    """The incremental-stabilize equivalence, re-run on the recursive
+    schedule: join/leave/fail repairs must land the exact state the
+    full-rebuild reference ring computes."""
     ids = sorted(
         data.draw(
             st.sets(st.integers(0, SIZE - 1), min_size=8, max_size=20),
@@ -152,12 +169,8 @@ def test_record_incremental_repair_matches_full_rebuild(data) -> None:
         )
     )
     arity = data.draw(st.sampled_from([3, 4, 8]), label="arity")
-    full = RecordRing(
-        make_config(ids, incremental_repair=False), node_ids=list(ids), arity=arity
-    )
-    inc = RecordRing(
-        make_config(ids, incremental_repair=True), node_ids=list(ids), arity=arity
-    )
+    full = FullRebuildRecordRing(make_config(ids), node_ids=list(ids), arity=arity)
+    inc = RecordRing(make_config(ids), node_ids=list(ids), arity=arity)
     assert ring_state(full) == ring_state(inc)
 
     for step in range(data.draw(st.integers(5, 20), label="op count")):

@@ -3,11 +3,12 @@
 Two end-to-end runs with identical seeds — same corpus, same lossy
 transport seed, same churn schedule — must produce identical rankings
 *and* identical transport-trace rollups.  The check runs both with the
-PR-2 performance paths enabled (route cache, incremental repair, the
-production query path) and with them disabled (queries answered by the
-per-term :func:`repro.reference.reference_execute`), so neither mode can
-quietly grow a hidden source of nondeterminism (dict order, unseeded
-RNG, wall-clock).
+production paths (route cache, incremental repair, the production
+query path) and with the reference ones (no route cache, the
+full-rebuild :class:`repro.reference.FullRebuildChordRing`, queries
+answered by the per-term :func:`repro.reference.reference_execute`), so
+neither mode can quietly grow a hidden source of nondeterminism (dict
+order, unseeded RNG, wall-clock).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.corpus.synthetic import SyntheticTrecCorpus
 from repro.dht.churn import ChurnModel
 from repro.dht.replication import ReplicationManager
 from repro.net import build_transport
-from repro.reference import reference_execute
+from repro.reference import FullRebuildChordRing, reference_execute
 
 SPRITE_CONFIG = SpriteConfig(
     initial_terms=3,
@@ -51,15 +52,20 @@ def workload(micro_corpus_config):
 def _run(corpus, queries, optimized: bool, churn: bool):
     """One full seeded run; returns (rankings tuple, trace rollup)."""
     transport = build_transport(NETWORK_CONFIG)
+    chord_config = ChordConfig(
+        num_peers=16,
+        successor_list_size=4,
+        seed=11,
+        route_cache_size=65536 if optimized else 0,
+    )
     system = SpriteSystem(
         corpus,
         sprite_config=SPRITE_CONFIG,
-        chord_config=ChordConfig(
-            num_peers=16,
-            successor_list_size=4,
-            seed=11,
-            route_cache_size=65536 if optimized else 0,
-            incremental_repair=optimized,
+        chord_config=chord_config,
+        ring=(
+            None
+            if optimized
+            else FullRebuildChordRing(chord_config, transport=transport)
         ),
         transport=transport,
     )

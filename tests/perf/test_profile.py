@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.perf import PROFILE, PerfProfile, memory_usage
 from repro.perf.bench import (
+    ARMS,
     PerfWorkloadConfig,
     run_perf_workload,
     smoke_config,
@@ -108,7 +111,7 @@ class TestPerfWorkload:
         same config must reproduce the same measurement inputs."""
         cfg = smoke_config().replaced(num_queries=150, num_peers=100)
         optimized = run_perf_workload(cfg)
-        baseline = run_perf_workload(cfg.replaced(optimized=False))
+        baseline = run_perf_workload(cfg.replaced(arm="reference"))
         again = run_perf_workload(cfg)
         assert optimized.ranking_checksum == baseline.ranking_checksum
         assert optimized.ranking_checksum == again.ranking_checksum
@@ -116,6 +119,17 @@ class TestPerfWorkload:
         assert optimized.route_cache is not None
         assert optimized.route_cache["hits"] > 0
         assert baseline.route_cache is None
+
+    def test_every_arm_ranks_identically(self) -> None:
+        cfg = smoke_config().replaced(num_queries=120, num_peers=80)
+        results = {arm: run_perf_workload(cfg.replaced(arm=arm)) for arm in ARMS}
+        assert {r.arm for r in results.values()} == set(ARMS)
+        assert len({r.ranking_checksum for r in results.values()}) == 1
+        assert results["exhaustive"].total_messages == (
+            results["production"].total_messages
+        )
+        with pytest.raises(ValueError):
+            cfg.replaced(arm="optimized")
 
     def test_result_record_is_json_friendly(self) -> None:
         import json

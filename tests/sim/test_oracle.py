@@ -1,14 +1,18 @@
-"""The differential oracle: perf paths, top-k paths, ingest paths,
-store paths, the concurrent runtime, ring paths, and the centralized
+"""The differential oracle: production against the reference models,
+results invariant across the configurable axes, and the centralized
 baseline."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.indexer import IndexingProtocol
 from repro.core.owner import OwnerPeer
+from repro.core.query_processing import QueryProcessor
 from repro.corpus.synthetic import SyntheticTrecCorpus
-from repro.reference import PerTermOwner
+from repro.dht import ChordRing, RecordRing
+from repro.perf.concurrency import ConcurrentRuntime
+from repro.reference import FullRebuildChordRing, PerTermOwner
 from repro.sim import DifferentialOracle, FullIndexSystem, write_state_fingerprint
 
 
@@ -25,77 +29,113 @@ def oracle(workload):
     return DifferentialOracle(corpus, train=train, test=test, num_peers=16, seed=0)
 
 
-class TestPerfPaths:
-    def test_optimized_and_direct_rankings_bit_identical(self, oracle) -> None:
-        report = oracle.check_perf_paths()
+class TestReference:
+    def test_production_matches_reference(self, oracle) -> None:
+        report = oracle.check_reference()
         assert report.queries_compared > 0
         assert report.ok, [m.detail for m in report.mismatches]
 
-    def test_builders_differ_only_in_perf_switches(self, oracle) -> None:
-        fast = oracle._build_sprite(optimized=True)
-        slow = oracle._build_sprite(optimized=False)
-        assert fast.ring.config.route_cache_size > 0
-        assert slow.ring.config.route_cache_size == 0
-        assert fast.ring.config.incremental_repair
-        assert not slow.ring.config.incremental_repair
+    def test_builders_differ_only_in_reference_types(self, oracle) -> None:
+        production = oracle._build()
+        reference = oracle._build_reference()
+        assert type(production.ring) is ChordRing
+        assert type(reference.ring) is FullRebuildChordRing
+        assert production.ring.route_cache is not None
+        assert reference.ring.route_cache is None
+        assert production.owner_type is OwnerPeer
+        assert reference.owner_type is PerTermOwner
+        assert type(production.processor) is QueryProcessor
         # everything that affects *results* is identical
-        assert fast.config == slow.config
-        assert fast.ring.live_ids == slow.ring.live_ids
-
-
-class TestTopKPaths:
-    def test_topk_and_cached_rankings_bit_identical(self, oracle) -> None:
-        report = oracle.check_topk_paths()
-        assert report.queries_compared > 0
-        assert report.ok, [m.detail for m in report.mismatches]
-
-    def test_builders_differ_only_in_topk_switches(self, oracle) -> None:
-        exhaustive = oracle._build_topk_sprite(
-            early_termination=False, result_cache_size=0
-        )
-        served = oracle._build_topk_sprite(
-            early_termination=True, result_cache_size=128
-        )
-        assert not exhaustive.processor.early_termination
-        assert served.processor.early_termination
-        assert exhaustive.protocol.result_cache_size == 0
-        assert served.protocol.result_cache_size == 128
-        assert exhaustive.ring.live_ids == served.ring.live_ids
-
-
-class TestIngestPaths:
-    def test_batched_and_per_term_state_bit_identical(self, oracle) -> None:
-        report = oracle.check_ingest_paths()
-        assert report.queries_compared > 0
-        assert report.ok, [m.detail for m in report.mismatches]
-
-    def test_builders_differ_only_in_write_switch(self, oracle) -> None:
-        batched = oracle._build_ingest_sprite(per_term=False)
-        legacy = oracle._build_ingest_sprite(per_term=True)
-        assert batched.owner_type is OwnerPeer
-        assert legacy.owner_type is PerTermOwner
-        assert batched.config == legacy.config
-        assert batched.ring.live_ids == legacy.ring.live_ids
+        assert production.config == reference.config
+        assert production.ring.live_ids == reference.ring.live_ids
 
     def test_fingerprint_sees_slot_and_owner_state(self, workload) -> None:
         corpus, __, __ = workload
         oracle = DifferentialOracle(corpus, [], [], num_peers=16, seed=0)
-        system = oracle._build_ingest_sprite(per_term=False)
+        system = oracle._build()
         system.bulk_share()
         fingerprint = write_state_fingerprint(system)
         assert fingerprint["slots"], "expected published term slots"
         assert fingerprint["owners"], "expected owner-side shared state"
         assert len(fingerprint["version_rank"]) == len(fingerprint["slots"])
 
+    def test_join_repair_fault_is_reported(self, oracle, monkeypatch) -> None:
+        """A join that leaves other nodes' finger arcs stale must show
+        right after the join phase, even though the joiner's later
+        leave restores the same routing state."""
+        repair_join = ChordRing._repair_join
 
-class TestConcurrentRuntime:
-    def test_event_driven_concurrency_one_bit_identical(self, oracle) -> None:
-        """The sixth comparison: the DESIGN.md §15 runtime at
-        concurrency 1 must leave rankings AND the quiescent write-state
-        fingerprint bit-identical to call-stack execution."""
-        report = oracle.check_concurrent_runtime()
+        def skip_finger_arcs(ring, node_id):
+            fingers = {
+                nid: list(node.fingers)
+                for nid, node in ring.nodes.items()
+                if nid != node_id
+            }
+            repair_join(ring, node_id)
+            for nid, kept in fingers.items():
+                ring.nodes[nid].fingers = kept
+
+        monkeypatch.setattr(ChordRing, "_repair_join", skip_finger_arcs)
+        report = oracle.check_reference()
+        details = [m.detail for m in report.mismatches]
+        assert "routing state diverged after join: reference vs production" in details
+
+
+class TestInvariance:
+    def test_configurable_axes_do_not_change_results(self, oracle) -> None:
+        """Sqlite store, ReCord ring, result cache and the event-driven
+        runtime at concurrency 1: rankings and the write-state
+        fingerprint bit-identical to production after every phase and
+        query round."""
+        report = oracle.check_invariance()
         assert report.queries_compared > 0
         assert report.ok, [m.detail for m in report.mismatches]
+
+    def test_builders_differ_only_in_configurable_axes(self, oracle) -> None:
+        arms = oracle._invariance_arms()
+        production, durable, record, cached, concurrent = arms
+        try:
+            assert durable.store_runtime is not None
+            assert type(record.ring) is RecordRing
+            assert record.ring.arity == 8
+            assert cached.protocol.result_cache_size == 128
+            for system in (production, concurrent):
+                assert system.config == oracle._sprite_config()
+            for system in arms:
+                assert type(system.processor) is QueryProcessor
+                assert system.owner_type is OwnerPeer
+                assert system.ring.live_ids == production.ring.live_ids
+                if system is not record:
+                    assert type(system.ring) is ChordRing
+        finally:
+            durable.store_runtime.close()
+
+    def test_diverging_arm_is_reported(self, oracle, monkeypatch) -> None:
+        """A runtime that registers every query, whatever ``cache``
+        says, diverges in query-cache state after the second round."""
+        submit = ConcurrentRuntime.submit
+        monkeypatch.setattr(
+            ConcurrentRuntime,
+            "submit",
+            lambda runtime, query, cache=True: submit(runtime, query, cache=True),
+        )
+        report = oracle.check_invariance()
+        assert not report.ok
+        assert all("concurrent-runtime" in m.detail for m in report.mismatches)
+
+    def test_result_cache_arm_that_never_hits_is_reported(
+        self, oracle, monkeypatch
+    ) -> None:
+        """Equal rankings from a cache that served nothing checked
+        nothing, so the oracle reports it."""
+        monkeypatch.setattr(
+            IndexingProtocol, "probe_result", lambda *args, **kwargs: None
+        )
+        report = oracle.check_invariance()
+        assert [m.detail for m in report.mismatches] == [
+            f"result-cache arm served 0 of {len(oracle.test)} second-round "
+            "queries from its cache"
+        ]
 
 
 class TestCentralizedBaseline:
@@ -118,13 +158,5 @@ class TestCentralizedBaseline:
 class TestCheckAll:
     def test_runs_all_oracles(self, oracle) -> None:
         reports = oracle.check_all()
-        assert set(reports) == {
-            "perf-paths",
-            "topk-paths",
-            "ingest-paths",
-            "store-paths",
-            "concurrent-runtime",
-            "ring-paths",
-            "centralized-baseline",
-        }
+        assert set(reports) == {"reference", "invariance", "centralized-baseline"}
         assert all(r.ok for r in reports.values())

@@ -184,7 +184,7 @@ class TestPerf:
         code, output = run_cli("perf", "--small", "--json")
         assert code == 0
         payload = json.loads(output[output.index("{"):])
-        assert payload["optimized"] is True
+        assert payload["arm"] == "production"
         assert payload["queries_per_s"] > 0
 
     def test_perf_topk_small_prints_four_modes(self) -> None:
@@ -432,7 +432,8 @@ class TestCheck:
             "check", "--random", "--seed", "0", "--events", "8", "--peers", "12"
         )
         assert code == 0
-        assert "oracle[perf-paths]" in output
+        assert "oracle[reference]" in output
+        assert "oracle[invariance]" in output
         assert "oracle[centralized-baseline]" in output
 
     def test_requires_exactly_one_source(self, tmp_path) -> None:
